@@ -144,6 +144,12 @@ let validate t =
   if t.cpe_count <= 0 then invalid_arg "Platform: cpe_count must be positive";
   if t.ldm_bytes <= 0 then invalid_arg "Platform: ldm_bytes must be positive";
   if t.simd_lanes <= 0 then invalid_arg "Platform: simd_lanes must be positive";
+  (* the vector kernels fold wide accumulators onto the 4-lane Fig 7
+     transpose in at most one halving, so only these widths run *)
+  if t.simd_lanes <> 4 && t.simd_lanes <> 8 then
+    invalid_arg
+      (Printf.sprintf "Platform: simd_lanes must be 4 or 8 (got %d)"
+         t.simd_lanes);
   if t.cpe_freq_hz <= 0.0 then
     invalid_arg "Platform: cpe_freq_hz must be positive";
   if t.mpe_freq_hz <= 0.0 then

@@ -24,22 +24,14 @@ type prepared = {
 }
 
 (** [prepare ~particles ()] builds the standard water system snapshot
-    for kernel experiments: PME electrostatics at a 1.0 nm cut-off
-    (clamped for small boxes), exactly the Table 3 configuration. *)
+    for kernel experiments ({!Swgmx.Engine.water_system}: PME
+    electrostatics at a 1.0 nm cut-off, clamped for small boxes,
+    exactly the Table 3 configuration) and its pair list. *)
 let prepare ?(seed = 2019) ~particles () =
-  let cfg = cfg () in
   let molecules = max 4 (particles / 3) in
-  let st = Md.Water.build ~molecules ~seed () in
-  let n = Md.Md_state.n_atoms st in
-  let box = st.Md.Md_state.box in
-  let rcut = Float.min 1.0 (0.45 *. Md.Box.min_edge box) in
-  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
-  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
-  let cl = Md.Cluster.build box st.Md.Md_state.pos n in
-  let pairs = Md.Pair_list.build box cl ~pos:st.Md.Md_state.pos ~rlist:rcut () in
-  let sys =
-    K.make cfg ~box ~params ~cl ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff
-      ~pos:st.Md.Md_state.pos
+  let st, rcut, sys = Swgmx.Engine.water_system (cfg ()) ~molecules ~seed in
+  let pairs =
+    Md.Pair_list.build sys.K.box sys.K.cl ~pos:st.Md.Md_state.pos ~rlist:rcut ()
   in
   { st; sys; pairs; rcut }
 

@@ -234,6 +234,24 @@ let phases_of_features (cfg : Swarch.Config.t) f ~sys ~n ~box ~rcut ~total_atoms
     P.v "rest" ~row:"Rest" (P.Mpe_analytic (P.per_atom ~flops:1.0 ~bytes:8.0 n));
   ]
 
+(** [water_system cfg ~molecules ~seed] builds the standard kernel
+    workload: a [molecules]-water box, real-space Ewald at a 1.0 nm
+    cut-off (clamped for small boxes), the cluster grid and the kernel
+    snapshot.  Returns the state, the cut-off and the kernel system;
+    {!measure} and the experiment harness build their systems here. *)
+let water_system cfg ~molecules ~seed =
+  let st = Md.Water.build ~molecules ~seed () in
+  let box = st.Md.Md_state.box in
+  let rcut = Float.min 1.0 (0.45 *. Md.Box.min_edge box) in
+  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
+  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
+  let cl = Md.Cluster.build box st.Md.Md_state.pos (Md.Md_state.n_atoms st) in
+  let sys =
+    K.make cfg ~box ~params ~cl ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff
+      ~pos:st.Md.Md_state.pos
+  in
+  (st, rcut, sys)
+
 (** [measure ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ~version
     ~total_atoms ~n_cg ()] prices one MD step of the water benchmark
     at the given optimization level: [total_atoms] split over [n_cg]
@@ -263,17 +281,9 @@ let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
      atoms of the modelled global system *)
   let atoms_per_cg = max 12 ((total_atoms + (n_cg / 2)) / n_cg) in
   let molecules = max 4 (atoms_per_cg / 3) in
-  let st = Md.Water.build ~molecules ~seed:2019 () in
+  let st, rcut, sys = water_system cfg ~molecules ~seed:2019 in
   let n = Md.Md_state.n_atoms st in
   let box = st.Md.Md_state.box in
-  let rcut = Float.min 1.0 (0.45 *. Md.Box.min_edge box) in
-  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
-  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
-  let cl = Md.Cluster.build box st.Md.Md_state.pos n in
-  let sys =
-    K.make cfg ~box ~params ~cl ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff
-      ~pos:st.Md.Md_state.pos
-  in
   let cg = Swarch.Core_group.create cfg in
   (* degraded machine: install slowdowns/stalls on the group and put
      the dead-CPE re-stripe decisions on the fault track *)
@@ -423,6 +433,46 @@ let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
 
 type sample = { step : int; total_energy : float; temperature : float }
 
+(** [md_system ~dt ~temp ~molecules ~seed] is the water box and
+    workflow configuration of the real dynamics runs: real-space Ewald
+    at a 0.9 nm cut-off (clamped for small boxes) plus a 32-point PME
+    mesh, pair lists rebuilt every 10 steps, a thermostat at [temp]
+    with tau = 0.5 ps.  The optimized run and the double-precision
+    reference of Figure 13 are both set up here. *)
+let md_system ~dt ~temp ~molecules ~seed =
+  let st = Md.Water.build ~molecules ~seed () in
+  let rcut = Float.min 0.9 (0.45 *. Md.Box.min_edge st.Md.Md_state.box) in
+  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
+  ( st,
+    {
+      Md.Workflow.dt;
+      nstlist = 10;
+      rlist = rcut;
+      nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta };
+      pme_grid = Some 32;
+      thermostat = Some (Md.Thermostat.create ~t_ref:temp ~tau:0.5 ());
+    } )
+
+(** [equilibrate ~temp ~seed ~equil_steps w] prepares a fresh
+    workflow's state for a measured trajectory: 60 minimization steps,
+    Maxwell-Boltzmann velocities at [temp], then [equil_steps] under
+    tight coupling (tau = 0.02 ps) to drain the remaining lattice
+    strain. *)
+let equilibrate ~temp ~seed ~equil_steps (w : Md.Workflow.t) =
+  let st = w.Md.Workflow.state in
+  ignore (Md.Workflow.minimize ~steps:60 w);
+  Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) temp;
+  if equil_steps > 0 then begin
+    let strong =
+      {
+        w.Md.Workflow.config with
+        Md.Workflow.thermostat =
+          Some (Md.Thermostat.create ~t_ref:temp ~tau:0.02 ());
+      }
+    in
+    Md.Workflow.run (Md.Workflow.create ~config:strong st) equil_steps
+  end
+
 (* The full MD loop with the optional protection machinery: fault
    injection (LDM flips rolling back to the last checkpoint), periodic
    checkpoint capture and restart-from-checkpoint.  With no faults, no
@@ -433,22 +483,9 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
     ~sample_every () =
   Swarch.Config.validate cfg;
-  let st = Md.Water.build ~molecules ~seed () in
-  let box = st.Md.Md_state.box in
-  let rcut = Float.min 0.9 (0.45 *. Md.Box.min_edge box) in
-  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
-  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
-  let nstlist = 10 in
-  let config =
-    {
-      Md.Workflow.dt;
-      nstlist;
-      rlist = rcut;
-      nb = params;
-      pme_grid = Some 32;
-      thermostat = Some (Md.Thermostat.create ~t_ref:temp ~tau:0.5 ());
-    }
-  in
+  let st, config = md_system ~dt ~temp ~molecules ~seed in
+  let box = st.Md.Md_state.box and params = config.Md.Workflow.nb in
+  let nstlist = config.Md.Workflow.nstlist in
   let n = Md.Md_state.n_atoms st in
   let stats = Swfault.Recovery.stats_zero () in
   (* checkpoints are only taken at pair-list rebuild boundaries:
@@ -491,24 +528,7 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
   if start_step >= steps && restart <> None then
     invalid_arg "Engine.simulate: checkpoint is at or past the last step";
   let w = Md.Workflow.create ~config st in
-  (match restart with
-  | Some _ -> ()
-  | None ->
-      ignore (Md.Workflow.minimize ~steps:60 w);
-      Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) temp;
-      (* equilibration: tight coupling drains the remaining lattice
-         strain before the measured trajectory starts *)
-      if equil_steps > 0 then begin
-        let strong =
-          {
-            config with
-            Md.Workflow.thermostat =
-              Some (Md.Thermostat.create ~t_ref:temp ~tau:0.02 ());
-          }
-        in
-        let we = Md.Workflow.create ~config:strong st in
-        Md.Workflow.run we equil_steps
-      end);
+  if Option.is_none restart then equilibrate ~temp ~seed ~equil_steps w;
   let cg = Swarch.Core_group.create cfg in
   (* degraded machine: slow/stalled CPEs charge more per kernel; dead
      CPEs are re-striped inside {!Kernel.run} *)
@@ -609,7 +629,8 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
             ~force:st.Md.Md_state.force;
           w.Md.Workflow.energy.Md.Energy.coulomb_recip <-
             w.Md.Workflow.energy.Md.Energy.coulomb_recip +. e_recip
-            +. Md.Coulomb.self_energy ~beta st.Md.Md_state.topo.Md.Topology.charge
+            +. Md.Coulomb.self_energy ~beta:sys.K.beta
+                 st.Md.Md_state.topo.Md.Topology.charge
       | None -> ());
       (* configuration update: leapfrog + SHAKE + thermostat *)
       Md.Fbuf.blit st.Md.Md_state.pos 0 w.Md.Workflow.ref_pos 0 (3 * n);

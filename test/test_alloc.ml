@@ -152,6 +152,56 @@ let qalloc_per_interaction_zero =
       let per_pair = s.Swbench.Alloc.minor_words /. 68329.0 in
       s.Swbench.Alloc.minor_words <= step_budget_words && per_pair < 0.01)
 
+(* The SIMD ops the vector kernels run per cluster pair: each must
+   allocate nothing per call.  Counted with [Gc.minor_words], which
+   reads the allocation pointer: [Gc.quick_stat]'s minor count only
+   moves at a minor collection, far too coarse for a few thousand
+   calls.  A no-op timed the same way carries the loop's own constant,
+   so an op matches it exactly or it allocates. *)
+let simd_calls = 1000
+
+let minor_words_per_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to simd_calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int simd_calls
+
+let simd_ops lanes =
+  let module S = Swarch.Simd in
+  let c = Swarch.Cost.create () in
+  let v () =
+    let v = S.zero lanes in
+    S.init_into v (fun i -> float_of_int (i + 1));
+    v
+  in
+  let d = v () and x = v () and y = v () and m = v () in
+  let narrow_dst = S.zero 4 and x4 = S.zero 4 and out = Array.make 12 0.0 in
+  [
+    ("splat_into", fun () -> S.splat_into d 1.5);
+    ("add_into", fun () -> S.add_into c d x y);
+    ("sub_into", fun () -> S.sub_into c d x y);
+    ("mul_into", fun () -> S.mul_into c d x y);
+    ("fma_into", fun () -> S.fma_into c d x y x);
+    ("round_into", fun () -> S.round_into c d x);
+    ("rsqrt_into", fun () -> S.rsqrt_into c d x);
+    ("cmp_lt_into", fun () -> S.cmp_lt_into c m x y);
+    ("select_into", fun () -> S.select_into c d m x y);
+    ("narrow_into", fun () -> S.narrow_into c narrow_dst x);
+    ("transpose3x4_into", fun () -> S.transpose3x4_into c x4 x4 x4 out);
+  ]
+
+let test_simd_ops_alloc_free lanes () =
+  let baseline = minor_words_per_call (fun () -> ()) in
+  List.iter
+    (fun (name, f) ->
+      let w = minor_words_per_call f in
+      if w <> baseline then
+        Alcotest.failf "Simd.%s at %d lanes allocates %.2f words per call" name
+          lanes (w -. baseline))
+    (simd_ops lanes)
+
 let suites =
   [
     ( "alloc.goldens",
@@ -166,5 +216,9 @@ let suites =
     ( "alloc.gate",
       Alcotest.test_case "nonbonded step under pinned budget" `Quick
         test_step_alloc_budget
+      :: Alcotest.test_case "SIMD ops allocate nothing at 4 lanes" `Quick
+           (test_simd_ops_alloc_free 4)
+      :: Alcotest.test_case "SIMD ops allocate nothing at 8 lanes" `Quick
+           (test_simd_ops_alloc_free 8)
       :: List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ] );
   ]

@@ -27,6 +27,9 @@ let check_float msg a b =
 
 let finite_float = QCheck.float_range (-1e6) 1e6
 
+let vec_of = Test_swarch.vec_of
+let lanes = Test_swarch.lanes
+
 let prop_v4_lanewise_ops_bitexact =
   QCheck.Test.make ~name:"simd: 4-lane ops match rounded reference" ~count:300
     QCheck.(
@@ -35,16 +38,17 @@ let prop_v4_lanewise_ops_bitexact =
         (quad finite_float finite_float finite_float finite_float))
     (fun ((a0, a1, a2, a3), (b0, b1, b2, b3)) ->
       let c = Cost.create () in
-      let x = Simd.make a0 a1 a2 a3 and y = Simd.make b0 b1 b2 b3 in
-      let xs = Simd.to_array x and ys = Simd.to_array y in
+      let x = vec_of [| a0; a1; a2; a3 |] and y = vec_of [| b0; b1; b2; b3 |] in
+      let xs = lanes x and ys = lanes y in
       let lanewise op f =
-        let v = op c x y in
+        let v = Simd.zero 4 in
+        op c v x y;
         Array.for_all Fun.id
           (Array.init 4 (fun i -> Simd.lane v i = r32 (f xs.(i) ys.(i))))
       in
-      lanewise Simd.add ( +. )
-      && lanewise Simd.sub ( -. )
-      && lanewise Simd.mul ( *. )
+      lanewise Simd.add_into ( +. )
+      && lanewise Simd.sub_into ( -. )
+      && lanewise Simd.mul_into ( *. )
       && c.Cost.simd_ops = 3.0)
 
 let prop_v4_fma_bitexact =
@@ -52,9 +56,9 @@ let prop_v4_fma_bitexact =
     QCheck.(triple finite_float finite_float finite_float)
     (fun (a, b, d) ->
       let c = Cost.create () in
-      let v =
-        Simd.fma c (Simd.splat 4 a) (Simd.splat 4 b) (Simd.splat 4 d)
-      in
+      let v = Simd.zero 4 in
+      Simd.fma_into c v (vec_of (Array.make 4 a)) (vec_of (Array.make 4 b))
+        (vec_of (Array.make 4 d));
       Simd.lane v 0 = r32 ((r32 a *. r32 b) +. r32 d) && c.Cost.simd_ops = 1.0)
 
 let prop_v4_hsum_pairwise_tree =
@@ -62,80 +66,93 @@ let prop_v4_hsum_pairwise_tree =
     QCheck.(quad finite_float finite_float finite_float finite_float)
     (fun (a, b, d, e) ->
       let c = Cost.create () in
-      let v = Simd.make a b d e in
+      let v = vec_of [| a; b; d; e |] in
       let s = Simd.hsum c v in
-      let l = Simd.to_array v in
+      let l = lanes v in
       s = r32 (r32 (l.(0) +. l.(1)) +. r32 (l.(2) +. l.(3)))
       && c.Cost.simd_ops = 2.0)
 
-let test_v4_vshuff_reference () =
-  let c = Cost.create () in
-  let x = Simd.make 1.0 2.0 3.0 4.0 and y = Simd.make 5.0 6.0 7.0 8.0 in
-  (* exhaustively: every pick tuple must select (x_i, x_j, y_k, y_l) *)
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      for k = 0 to 3 do
-        for l = 0 to 3 do
-          let v = Simd.vshuff c x y (i, j, k, l) in
-          Alcotest.(check (list (float 0.0)))
-            (Printf.sprintf "vshuff %d%d%d%d" i j k l)
-            [
-              Simd.lane x i; Simd.lane x j; Simd.lane y k; Simd.lane y l;
-            ]
-            (Array.to_list (Simd.to_array v))
-        done
-      done
-    done
-  done;
-  check_float "one instruction each" 256.0 c.Cost.simd_ops;
-  Alcotest.check_raises "pick out of range"
+(* the Fig 7 transpose against the six-vshuff reference at 4 lanes,
+   and the width guards around it *)
+let test_v4_transpose_matches_fig7 () =
+  let c = Cost.create () and cr = Cost.create () in
+  let xs = [| 1.0; 2.0; 3.0; 4.0 |] and ys = [| 5.0; 6.0; 7.0; 8.0 |] in
+  let zs = [| 9.0; 10.0; 11.0; 12.0 |] in
+  let x = vec_of xs and y = vec_of ys and z = vec_of zs in
+  Alcotest.(check (list (float 0.0)))
+    "transpose = reference"
+    (Array.to_list (Test_swarch.transpose3x4_ref cr xs ys zs))
+    (Array.to_list (Test_swarch.transpose_into c x y z));
+  check_float "six instructions each" cr.Cost.simd_ops c.Cost.simd_ops;
+  Alcotest.check_raises "lane out of range"
     (Invalid_argument "Simd.lane: 4 not in 0..3") (fun () ->
-      ignore (Simd.vshuff c x y (4, 0, 0, 0)))
+      ignore (Simd.lane x 4));
+  Alcotest.check_raises "8-lane transpose"
+    (Invalid_argument "Simd.transpose3x4_into: width must be 4") (fun () ->
+      Simd.transpose3x4_into c (Simd.zero 8) y z (Array.make 12 0.0));
+  Alcotest.check_raises "short destination"
+    (Invalid_argument "Simd.transpose3x4_into: dst < 12") (fun () ->
+      Simd.transpose3x4_into c x y z (Array.make 11 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* wider vectors *)
 
 let test_vec8_basics () =
   let c = Cost.create () in
-  let v = Simd.init 8 (fun i -> float_of_int (i + 1)) in
+  let v = Simd.zero 8 in
+  Simd.init_into v (fun i -> float_of_int (i + 1));
   Alcotest.(check int) "width" 8 (Simd.width v);
-  let w = Simd.add c v (Simd.splat 8 10.0) in
+  let w = Simd.zero 8 in
+  Simd.splat_into w 10.0;
+  Simd.add_into c w v w;
   check_float "lane 7" 18.0 (Simd.lane w 7);
   check_float "one instruction regardless of lanes" 1.0 c.Cost.simd_ops
 
 let test_vec8_hsum_three_rounds () =
   let c = Cost.create () in
-  let v = Simd.init 8 (fun i -> float_of_int (i + 1)) in
+  let v = vec_of (Array.init 8 (fun i -> float_of_int (i + 1))) in
   check_float "hsum 1..8" 36.0 (Simd.hsum c v);
   check_float "3 halving rounds" 3.0 c.Cost.simd_ops
 
-let test_vec8_vshuff_per_group () =
-  let c = Cost.create () in
-  let x = Simd.init 8 (fun i -> float_of_int (i + 1)) in
-  let y = Simd.init 8 (fun i -> float_of_int (i + 11)) in
-  let v = Simd.vshuff c x y (0, 2, 1, 3) in
-  (* the pick applies within each 4-lane group independently *)
+(* the SW26010-Pro path into Fig 7: 8-lane accumulators are narrowed to
+   one 4-lane register each, then transposed *)
+let test_vec8_narrow_then_transpose () =
+  let c = Cost.create () and cr = Cost.create () in
+  let acc k = vec_of (Array.init 8 (fun i -> float_of_int ((10 * k) + i + 1))) in
+  let narrow v =
+    let n = Simd.zero 4 in
+    Simd.narrow_into c n v;
+    n
+  in
+  let x = narrow (acc 0) and y = narrow (acc 1) and z = narrow (acc 2) in
   Alcotest.(check (list (float 0.0)))
-    "both groups shuffled"
-    [ 1.0; 3.0; 12.0; 14.0; 5.0; 7.0; 16.0; 18.0 ]
-    (Array.to_list (Simd.to_array v))
+    "narrowed x" [ 6.0; 8.0; 10.0; 12.0 ] (Array.to_list (lanes x));
+  let d = Test_swarch.transpose_into c x y z in
+  Alcotest.(check (list (float 0.0)))
+    "narrowed then transposed"
+    (Array.to_list (Test_swarch.transpose3x4_ref cr (lanes x) (lanes y) (lanes z)))
+    (Array.to_list d);
+  check_float "3 folds + 6 shuffles" 9.0 c.Cost.simd_ops
 
-let test_vec_slice_and_narrow () =
+let test_vec_hsum_part_and_narrow () =
   let c = Cost.create () in
-  let v = Simd.init 8 (fun i -> float_of_int (i + 1)) in
-  (* full-width slice is the identity, and free *)
-  Alcotest.(check bool) "identity slice" true (Simd.slice v 0 8 == v);
-  let half = Simd.slice v 4 4 in
-  check_float "sliced lane" 5.0 (Simd.lane half 0);
-  check_float "slices are free" 0.0 c.Cost.simd_ops;
+  let v = vec_of (Array.init 8 (fun i -> float_of_int (i + 1))) in
+  (* a full-width partial sum is hsum; the upper half sums on its own *)
+  check_float "whole range = hsum" (Simd.hsum (Cost.create ()) v)
+    (Simd.hsum_part c v 0 8);
+  check_float "upper half" 26.0 (Simd.hsum_part (Cost.create ()) v 4 4);
+  check_float "3 halving rounds" 3.0 c.Cost.simd_ops;
+  Cost.reset c;
   (* narrowing 8 -> 4 folds the upper half on, one instruction *)
-  let n = Simd.narrow c v 4 in
+  let n = Simd.zero 4 in
+  Simd.narrow_into c n v;
   Alcotest.(check int) "narrowed width" 4 (Simd.width n);
   check_float "lane 0 = 1+5" 6.0 (Simd.lane n 0);
   check_float "lane 3 = 4+8" 12.0 (Simd.lane n 3);
   check_float "one fold instruction" 1.0 c.Cost.simd_ops;
   (* narrowing to the current width is a free identity *)
-  Alcotest.(check bool) "identity narrow" true (Simd.narrow c n 4 == n);
+  Simd.narrow_into c n n;
+  check_float "identity narrow" 6.0 (Simd.lane n 0);
   check_float "still one instruction" 1.0 c.Cost.simd_ops
 
 (* ------------------------------------------------------------------ *)
@@ -145,7 +162,17 @@ let test_validate_rejects_zero_lanes () =
   let bad = { Platform.default with Platform.simd_lanes = 0 } in
   Alcotest.check_raises "zero lanes"
     (Invalid_argument "Platform: simd_lanes must be positive") (fun () ->
-      Platform.validate bad)
+      Platform.validate bad);
+  (* only the widths the vector kernels fold onto Fig 7 are machines *)
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d lanes" w)
+        (Invalid_argument
+           (Printf.sprintf "Platform: simd_lanes must be 4 or 8 (got %d)" w))
+        (fun () ->
+          Platform.validate { Platform.default with Platform.simd_lanes = w }))
+    [ 2; 6; 16 ]
 
 let test_validate_rejects_empty_dma_curve () =
   let bad = { Platform.default with Platform.dma_points = [||] } in
@@ -273,9 +300,12 @@ let test_pro_geometry_follows_ldm () =
     (K.write_lines pro)
 
 let test_vector_kernel_rejects_bad_lane_count () =
+  (* Platform.validate refuses a 6-lane machine at the boundary, so the
+     core group is a valid one; the kernel's own guard still sees the
+     6-lane system snapshot *)
   let cfg = { Platform.sw26010 with Platform.simd_lanes = 6 } in
   let _, sys, pairs = setup cfg in
-  let cg = Core_group.create cfg in
+  let cg = Core_group.create Platform.sw26010 in
   match Swgmx.Kernel.run sys pairs cg Swgmx.Variant.Vec with
   | _ -> Alcotest.fail "6-lane vector kernel accepted"
   | exception Invalid_argument _ -> ()
@@ -360,17 +390,17 @@ let suites =
           prop_v4_hsum_pairwise_tree;
         ]
       @ [
-          Alcotest.test_case "vshuff reference" `Quick test_v4_vshuff_reference;
+          Alcotest.test_case "Fig 7 transpose reference" `Quick test_v4_transpose_matches_fig7;
           Alcotest.test_case "8-lane basics" `Quick test_vec8_basics;
           Alcotest.test_case "8-lane hsum rounds" `Quick
             test_vec8_hsum_three_rounds;
-          Alcotest.test_case "8-lane vshuff groups" `Quick
-            test_vec8_vshuff_per_group;
-          Alcotest.test_case "slice and narrow" `Quick test_vec_slice_and_narrow;
+          Alcotest.test_case "8-lane narrow + transpose" `Quick
+            test_vec8_narrow_then_transpose;
+          Alcotest.test_case "hsum_part and narrow" `Quick test_vec_hsum_part_and_narrow;
         ] );
     ( "platform.registry",
       [
-        Alcotest.test_case "rejects zero lanes" `Quick
+        Alcotest.test_case "rejects zero/unsupported lanes" `Quick
           test_validate_rejects_zero_lanes;
         Alcotest.test_case "rejects empty DMA curve" `Quick
           test_validate_rejects_empty_dma_curve;

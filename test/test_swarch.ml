@@ -171,89 +171,143 @@ let test_cost_reset () =
 (* ------------------------------------------------------------------ *)
 (* Simd *)
 
+(* a fresh vector holding [lanes], each rounded to single precision *)
+let vec_of lanes =
+  let v = Simd.zero (Array.length lanes) in
+  Simd.init_into v (Array.get lanes);
+  v
+
+let lanes v = Array.init (Simd.width v) (Simd.lane v)
+
+let flist = Alcotest.(list (float 0.0))
+
+(* The paper's [simd_vshuff] on one 4-lane group, as a test-local
+   reference: lanes [i], [j] of [x] followed by lanes [k], [l] of [y];
+   one vector instruction. *)
+let vshuff_ref c (x : float array) (y : float array) (i, j, k, l) =
+  Cost.simd c 1.0;
+  [| x.(i); x.(j); y.(k); y.(l) |]
+
+(* Figure 7: three 4-lane vectors x1..x4, y1..y4, z1..z4 become the
+   per-particle triples x1 y1 z1 ... x4 y4 z4 in six shuffles. *)
+let transpose3x4_ref c x y z =
+  (* first shuffle round: interleave pairs *)
+  let s1 = vshuff_ref c x y (0, 2, 0, 2) in (* X1 X3 Y1 Y3 *)
+  let s2 = vshuff_ref c x z (1, 3, 0, 2) in (* X2 X4 Z1 Z3 *)
+  let s3 = vshuff_ref c y z (1, 3, 1, 3) in (* Y2 Y4 Z2 Z4 *)
+  (* second shuffle round: gather per-particle triples *)
+  let p1 = vshuff_ref c s1 s2 (0, 2, 2, 0) in (* X1 Y1 Z1 X2 *)
+  let p2 = vshuff_ref c s3 s1 (0, 2, 1, 3) in (* Y2 Z2 X3 Y3 *)
+  let p3 = vshuff_ref c s2 s3 (3, 1, 1, 3) in (* Z3 X4 Y4 Z4 *)
+  Array.concat [ p1; p2; p3 ]
+
+let transpose_into c x y z =
+  let dst = Array.make 12 nan in
+  Simd.transpose3x4_into c x y z dst;
+  dst
+
 let test_simd_make_lane () =
-  let v = Simd.make 1.0 2.0 3.0 4.0 in
-  Alcotest.(check (list (float 0.0))) "lanes" [ 1.0; 2.0; 3.0; 4.0 ]
-    (Array.to_list (Simd.to_array v))
+  let v = vec_of [| 1.0; 2.0; 3.0; 4.0 |] in
+  Alcotest.check flist "lanes" [ 1.0; 2.0; 3.0; 4.0 ] (Array.to_list (lanes v))
 
 let test_simd_add () =
   let c = Cost.create () in
-  let v = Simd.add c (Simd.make 1.0 2.0 3.0 4.0) (Simd.splat 4 10.0) in
-  Alcotest.(check (list (float 0.0))) "sum" [ 11.0; 12.0; 13.0; 14.0 ]
-    (Array.to_list (Simd.to_array v));
+  let v = Simd.zero 4 and ten = Simd.zero 4 in
+  Simd.splat_into ten 10.0;
+  Simd.add_into c v (vec_of [| 1.0; 2.0; 3.0; 4.0 |]) ten;
+  Alcotest.check flist "sum" [ 11.0; 12.0; 13.0; 14.0 ] (Array.to_list (lanes v));
   check_float "one instruction" 1.0 c.Cost.simd_ops
 
 let test_simd_fma () =
   let c = Cost.create () in
-  let v = Simd.fma c (Simd.splat 4 2.0) (Simd.splat 4 3.0) (Simd.splat 4 1.0) in
+  let v = Simd.zero 4 in
+  Simd.fma_into c v (vec_of [| 2.0; 2.0; 2.0; 2.0 |])
+    (vec_of [| 3.0; 3.0; 3.0; 3.0 |]) (vec_of [| 1.0; 1.0; 1.0; 1.0 |]);
   check_float "fma lane" 7.0 (Simd.lane v 0);
   check_float "one instruction" 1.0 c.Cost.simd_ops
 
 let test_simd_hsum () =
   let c = Cost.create () in
-  check_float "hsum" 10.0 (Simd.hsum c (Simd.make 1.0 2.0 3.0 4.0))
+  check_float "hsum" 10.0 (Simd.hsum c (vec_of [| 1.0; 2.0; 3.0; 4.0 |]))
 
 let test_simd_single_precision_rounding () =
   (* 0.1 is not representable in binary32; lanes must hold the rounded value. *)
-  let v = Simd.splat 4 0.1 in
+  let v = Simd.zero 4 in
+  Simd.splat_into v 0.1;
   Alcotest.(check bool) "rounded" true (Simd.lane v 0 <> 0.1);
   check_float ~eps:1e-7 "close" 0.1 (Simd.lane v 0)
 
+(* the pick semantics the Fig 7 reference is built from *)
 let test_simd_vshuff () =
   let c = Cost.create () in
-  let x = Simd.make 1.0 2.0 3.0 4.0 and y = Simd.make 5.0 6.0 7.0 8.0 in
-  let v = Simd.vshuff c x y (0, 2, 1, 3) in
-  Alcotest.(check (list (float 0.0))) "shuffle" [ 1.0; 3.0; 6.0; 8.0 ]
-    (Array.to_list (Simd.to_array v))
+  let v = vshuff_ref c [| 1.0; 2.0; 3.0; 4.0 |] [| 5.0; 6.0; 7.0; 8.0 |] (0, 2, 1, 3) in
+  Alcotest.check flist "shuffle" [ 1.0; 3.0; 6.0; 8.0 ] (Array.to_list v)
 
 let test_simd_transpose_costs_six () =
   (* Figure 7: the transpose is exactly six vshuff instructions. *)
-  let c = Cost.create () in
-  let x = Simd.make 1.0 2.0 3.0 4.0
-  and y = Simd.make 5.0 6.0 7.0 8.0
-  and z = Simd.make 9.0 10.0 11.0 12.0 in
-  let p1, p2, p3, p4 = Simd.transpose3x4 c x y z in
+  let c = Cost.create () and cr = Cost.create () in
+  let xs = [| 1.0; 2.0; 3.0; 4.0 |]
+  and ys = [| 5.0; 6.0; 7.0; 8.0 |]
+  and zs = [| 9.0; 10.0; 11.0; 12.0 |] in
+  let d = transpose_into c (vec_of xs) (vec_of ys) (vec_of zs) in
   check_float "six shuffles" 6.0 c.Cost.simd_ops;
-  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p1" (1.0, 5.0, 9.0) p1;
-  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p2" (2.0, 6.0, 10.0) p2;
-  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p3" (3.0, 7.0, 11.0) p3;
-  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p4" (4.0, 8.0, 12.0) p4
+  ignore (transpose3x4_ref cr xs ys zs);
+  check_float "reference is six shuffles" 6.0 cr.Cost.simd_ops;
+  let p i = (d.(3 * i), d.((3 * i) + 1), d.((3 * i) + 2)) in
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p1" (1.0, 5.0, 9.0) (p 0);
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p2" (2.0, 6.0, 10.0) (p 1);
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p3" (3.0, 7.0, 11.0) (p 2);
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0))) "p4" (4.0, 8.0, 12.0) (p 3)
+
+let lanes4 = QCheck.(array_of_size (QCheck.Gen.return 4) (float_range (-1e3) 1e3))
 
 let prop_simd_transpose_roundtrip =
   QCheck.Test.make ~name:"simd: transpose recovers per-particle triples" ~count:200
-    QCheck.(triple (array_of_size (QCheck.Gen.return 4) (float_range (-1e3) 1e3))
-              (array_of_size (QCheck.Gen.return 4) (float_range (-1e3) 1e3))
-              (array_of_size (QCheck.Gen.return 4) (float_range (-1e3) 1e3)))
+    QCheck.(triple lanes4 lanes4 lanes4)
     (fun (xs, ys, zs) ->
       let c = Cost.create () in
       let r32 = Simd.round32 in
-      let x = Simd.of_array 4 xs 0 and y = Simd.of_array 4 ys 0 and z = Simd.of_array 4 zs 0 in
-      let ps = [| Simd.transpose3x4 c x y z |] in
-      let (p1, p2, p3, p4) = ps.(0) in
-      let triples = [| p1; p2; p3; p4 |] in
+      let d = transpose_into c (vec_of xs) (vec_of ys) (vec_of zs) in
       Array.for_all
         (fun i ->
-          let xi, yi, zi = triples.(i) in
-          xi = r32 xs.(i) && yi = r32 ys.(i) && zi = r32 zs.(i))
+          d.(3 * i) = r32 xs.(i)
+          && d.((3 * i) + 1) = r32 ys.(i)
+          && d.((3 * i) + 2) = r32 zs.(i))
         [| 0; 1; 2; 3 |])
+
+let prop_simd_transpose_matches_fig7 =
+  QCheck.Test.make ~name:"simd: transpose3x4_into = Fig 7 six-vshuff reference"
+    ~count:200
+    QCheck.(triple lanes4 lanes4 lanes4)
+    (fun (xs, ys, zs) ->
+      let c = Cost.create () and cr = Cost.create () in
+      let x = vec_of xs and y = vec_of ys and z = vec_of zs in
+      transpose_into c x y z = transpose3x4_ref cr (lanes x) (lanes y) (lanes z)
+      && c.Cost.simd_ops = cr.Cost.simd_ops)
 
 let test_simd_cmp_select () =
   let c = Cost.create () in
-  let m = Simd.cmp_lt c (Simd.make 1.0 5.0 2.0 9.0) (Simd.splat 4 3.0) in
-  let v = Simd.select c m (Simd.splat 4 1.0) (Simd.splat 4 0.0) in
-  Alcotest.(check (list (float 0.0))) "mask select" [ 1.0; 0.0; 1.0; 0.0 ]
-    (Array.to_list (Simd.to_array v))
+  let three = Simd.zero 4 and one = Simd.zero 4 and m = Simd.zero 4 in
+  Simd.splat_into three 3.0;
+  Simd.splat_into one 1.0;
+  Simd.cmp_lt_into c m (vec_of [| 1.0; 5.0; 2.0; 9.0 |]) three;
+  let v = Simd.zero 4 in
+  Simd.select_into c v m one (Simd.zero 4);
+  Alcotest.check flist "mask select" [ 1.0; 0.0; 1.0; 0.0 ] (Array.to_list (lanes v))
 
 let prop_simd_arith_matches_scalar =
   QCheck.Test.make ~name:"simd: lanes match rounded scalar arithmetic" ~count:300
     QCheck.(pair (float_range (-1e6) 1e6) (float_range (-1e6) 1e6))
     (fun (a, b) ->
       let c = Cost.create () in
-      let va = Simd.splat 4 a and vb = Simd.splat 4 b in
+      let va = Simd.zero 4 and vb = Simd.zero 4 and d = Simd.zero 4 in
+      Simd.splat_into va a;
+      Simd.splat_into vb b;
       let r32 = Simd.round32 in
-      Simd.lane (Simd.add c va vb) 0 = r32 (r32 a +. r32 b)
-      && Simd.lane (Simd.mul c va vb) 2 = r32 (r32 a *. r32 b)
-      && Simd.lane (Simd.sub c va vb) 3 = r32 (r32 a -. r32 b))
+      let lane op i = op c d va vb; Simd.lane d i in
+      lane Simd.add_into 0 = r32 (r32 a +. r32 b)
+      && lane Simd.mul_into 2 = r32 (r32 a *. r32 b)
+      && lane Simd.sub_into 3 = r32 (r32 a -. r32 b))
 
 (* ------------------------------------------------------------------ *)
 (* Core_group / Chip *)
@@ -323,7 +377,8 @@ let test_platform_fair_counts () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_dma_bigger_never_slower; prop_dma_aggregation_wins;
-    prop_simd_transpose_roundtrip; prop_simd_arith_matches_scalar ]
+    prop_simd_transpose_roundtrip; prop_simd_transpose_matches_fig7;
+    prop_simd_arith_matches_scalar ]
 
 let suites =
   [
