@@ -88,11 +88,11 @@ let tests =
              (Swcomm.Scaling.weak ~compute ~atoms_per_cg:10000 ~rcut:1.0
                 ~box_edge_per_cg:4.64 [ 4; 8; 16; 32; 64; 128; 256; 512 ])));
     (* Figure 13: a few steps of mixed-precision dynamics *)
-    Test.make ~name:"fig13: Engine.simulate 5 steps"
+    Test.make ~name:"fig13: Engine.simulate_protected 5 steps"
       (Staged.stage (fun () ->
            ignore
-             (E.simulate ~cfg:(Swbench.Common.cfg ()) ~molecules:16 ~seed:5
-                ~steps:5 ~sample_every:5 ())));
+             (E.simulate_protected ~cfg:(Swbench.Common.cfg ()) ~molecules:16
+                ~seed:5 ~steps:5 ~sample_every:5 ())));
     (* swstore: the chunk codec on a checkpoint-sized payload *)
     Test.make ~name:"store: chunk encode+decode (64 KiB)"
       (Staged.stage (fun () ->
@@ -365,71 +365,36 @@ let write_json path rows =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* minimal argv handling: [--json FILE], [--platform NAME] and
-   [--domains N] *)
-let json_path () =
-  let rec scan = function
-    | "--json" :: path :: _ -> Some path
-    | "--json" :: [] ->
-        prerr_endline "bench: --json requires a file argument";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let platform_name () =
-  let rec scan = function
-    | "--platform" :: name :: _ -> Some name
-    | "--platform" :: [] ->
-        prerr_endline "bench: --platform requires a platform name";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let domain_count () =
-  let rec scan = function
-    | "--domains" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some n -> Some n
-        | None ->
-            prerr_endline "bench: --domains requires an integer";
-            exit 2)
-    | "--domains" :: [] ->
-        prerr_endline "bench: --domains requires a domain count";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let () =
-  (match domain_count () with
-  | Some n -> (
-      try Swpar.Domains.set n
-      with Invalid_argument msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
-  | None -> ());
-  (match platform_name () with
-  | Some name -> (
-      try Swbench.Common.set_platform (Swarch.Platform.resolve name)
-      with Invalid_argument msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
-  | None -> ());
-  let json = json_path () in
-  Fmt.pr "platform: %a (%d domain(s))@." Swarch.Platform.pp
-    (Swbench.Common.cfg ()) (Swpar.Domains.get ());
+let main () cfg json =
+  Fmt.pr "platform: %a (%d domain(s))@." Swarch.Platform.pp cfg
+    (Swpar.Domains.get ());
   Fmt.pr "=== bechamel micro-benchmarks (one per table/figure) ===@.";
   let rows = run_benchmarks () in
   print_benchmarks rows;
-  (match json with Some path -> write_json path rows | None -> ());
+  Option.iter (fun path -> write_json path rows) json;
   Fmt.pr "@.=== regenerating all tables and figures (quick mode) ===@.";
   List.iter
     (fun (e : Swbench.Registry.experiment) ->
       Fmt.pr "@.--- %s ---@." e.Swbench.Registry.title;
       e.Swbench.Registry.run ~quick:true Fmt.stdout)
     Swbench.Registry.all
+
+let () =
+  let open Cmdliner in
+  let prog = "bench" in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Also write the benchmark rows and the simulated, wall_* and \
+             alloc_* figures to $(docv) as JSON.")
+  in
+  let doc = "micro-benchmarks and quick regeneration of every table and figure" in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info prog ~doc)
+          Term.(
+            const main $ Swbench.Cli.domains ~prog ()
+            $ Swbench.Cli.platform ~prog () $ json)))

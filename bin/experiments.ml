@@ -14,22 +14,16 @@ let run_one ~quick (e : Swbench.Registry.experiment) =
   Fmt.pr "[%s finished in %.1f s wall]@." e.Swbench.Registry.id
     (Unix.gettimeofday () -. t0)
 
-let main list_only quick platform_name domains trace_file trace_summary ids =
+let prog = "experiments"
+
+let main list_only quick () cfg trace ids =
   if list_only then begin
     List.iter print_endline (Swbench.Registry.ids ());
     0
   end
   else begin
-    (try
-       Swpar.Domains.set domains;
-       Swbench.Common.set_platform (Swarch.Platform.resolve platform_name)
-     with Invalid_argument msg ->
-       Fmt.epr "experiments: %s@." msg;
-       exit 2);
-    Fmt.pr "platform: %a (%d domain(s))@." Swarch.Platform.pp
-      (Swbench.Common.cfg ()) (Swpar.Domains.get ());
-    let tracing = trace_file <> None || trace_summary in
-    if tracing then Swtrace.Trace.enable ();
+    Fmt.pr "platform: %a (%d domain(s))@." Swarch.Platform.pp cfg
+      (Swpar.Domains.get ());
     let selected =
       match ids with
       | [] -> Swbench.Registry.all
@@ -39,32 +33,12 @@ let main list_only quick platform_name domains trace_file trace_summary ids =
               match Swbench.Registry.find id with
               | Some e -> e
               | None ->
-                  Fmt.epr "unknown experiment %S; try --list@." id;
-                  exit 2)
+                  Swbench.Cli.fail ~prog
+                    (Printf.sprintf "unknown experiment %S; try --list" id))
             ids
     in
     List.iter (run_one ~quick) selected;
-    if tracing then begin
-      let events = Swtrace.Trace.events () in
-      (match trace_file with
-      | Some path -> (
-          try
-            Swtrace.Chrome.write_file path events;
-            Fmt.pr "@.trace: %d events -> %s@." (List.length events) path
-          with Sys_error msg ->
-            Fmt.epr "experiments: cannot write trace: %s@." msg;
-            exit 1)
-      | None -> ());
-      (if trace_summary then
-         let cfg = Swbench.Common.cfg () in
-         Swtrace.Summary.print
-           ~platform:
-             (Printf.sprintf "%s (%s), %d-lane SIMD, %d domain(s)"
-                cfg.Swarch.Config.display cfg.Swarch.Config.name
-                cfg.Swarch.Config.simd_lanes (Swpar.Domains.get ()))
-           Fmt.stdout events);
-      Swtrace.Trace.disable ()
-    end;
+    Swbench.Cli.finish_trace ~prog trace;
     0
   end
 
@@ -79,45 +53,29 @@ let quick_flag =
     & info [ "quick" ]
         ~doc:"Run shrunken workloads (8x smaller); shapes are preserved.")
 
-let platform =
-  Arg.(
-    value
-    & opt string Swarch.Platform.default.Swarch.Platform.name
-    & info [ "platform" ] ~docv:"NAME"
-        ~doc:
-          "Machine description the experiments run against: a built-in \
-           platform name or a key=value platform file.")
-
-let domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run the simulator over $(docv) OCaml domains (bit-identical \
-           results for every $(docv); see docs/PARALLEL.md).")
-
-let trace_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Record the runs and export a Chrome trace_event JSON file.")
-
-let trace_summary =
-  Arg.(
-    value & flag
-    & info [ "trace-summary" ]
-        ~doc:"Record the runs and print the swtrace summary tables.")
-
 let ids_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids to run (default: all).")
 
 let cmd =
   let doc = "regenerate the tables and figures of the SW_GROMACS paper" in
   Cmd.v
-    (Cmd.info "experiments" ~doc)
+    (Cmd.info prog ~doc)
     Term.(
-      const main $ list_flag $ quick_flag $ platform $ domains $ trace_file
-      $ trace_summary $ ids_arg)
+      const main $ list_flag $ quick_flag
+      $ Swbench.Cli.domains ~prog
+          ~doc:
+            "Run the simulator over $(docv) OCaml domains (bit-identical \
+             results for every $(docv); see docs/PARALLEL.md)."
+          ()
+      $ Swbench.Cli.platform ~prog
+          ~doc:
+            "Machine description the experiments run against: a built-in \
+             platform name or a key=value platform file."
+          ()
+      $ Swbench.Cli.trace
+          ~file_doc:"Record the runs and export a Chrome trace_event JSON file."
+          ~summary_doc:"Record the runs and print the swtrace summary tables."
+          ()
+      $ ids_arg)
 
 let () = exit (Cmd.eval' cmd)

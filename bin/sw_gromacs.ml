@@ -10,10 +10,8 @@
    --trace-summary prints the phase/utilization/DMA/roofline tables
    instead of (or in addition to) the file. *)
 
-let peak_flops (cfg : Swarch.Config.t) =
-  float_of_int cfg.Swarch.Config.cpe_count
-  *. float_of_int cfg.Swarch.Config.simd_lanes
-  *. cfg.Swarch.Config.cpe_freq_hz
+let prog = "sw_gromacs"
+let fail ?code msg = Swbench.Cli.fail ?code ~prog msg
 
 (* the object store selected by --store: a persistent directory, or an
    in-memory store for single-process batch runs *)
@@ -22,56 +20,20 @@ let open_store store_dir =
   | Some dir -> Swstore.Store.open_dir dir
   | None -> Swstore.Store.open_memory ()
 
-let export_trace ~cfg ~trace_file ~trace_summary =
-  let events = Swtrace.Trace.events () in
-  (match trace_file with
-  | Some path -> (
-      try
-        Swtrace.Chrome.write_file path events;
-        Fmt.pr "@.trace: %d events -> %s" (List.length events) path;
-        let dropped = Swtrace.Trace.dropped () in
-        if dropped > 0 then Fmt.pr " (%d oldest events dropped)" dropped;
-        Fmt.pr "@."
-      with Sys_error msg ->
-        Fmt.epr "sw_gromacs: cannot write trace: %s@." msg;
-        exit 1)
-  | None -> ());
-  if trace_summary then
-    Swtrace.Summary.print
-      ~platform:
-        (Printf.sprintf "%s (%s), %d-lane SIMD, %d domain(s)"
-           cfg.Swarch.Config.display cfg.Swarch.Config.name
-           cfg.Swarch.Config.simd_lanes (Swpar.Domains.get ()))
-      ~peak_flops:(peak_flops cfg)
-      ~peak_bw:(Swarch.Config.peak_dma_bw cfg)
-      Fmt.stdout events;
-  Swtrace.Trace.disable ()
-
 (* batch mode: schedule a manifest of jobs over one store, repeats
    served from it, and emit the combined report *)
-let run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
-    ~trace_summary =
+let run_batch ~manifest_path ~store_dir ~report_file ~trace =
   let text =
     try In_channel.with_open_text manifest_path In_channel.input_all
-    with Sys_error msg ->
-      Fmt.epr "sw_gromacs: cannot read batch manifest: %s@." msg;
-      exit 2
+    with Sys_error msg -> fail ("cannot read batch manifest: " ^ msg)
   in
   let jobs =
-    try Swbench.Batch.parse_manifest text
-    with Invalid_argument msg ->
-      Fmt.epr "sw_gromacs: %s@." msg;
-      exit 2
+    try Swbench.Batch.parse_manifest text with Invalid_argument msg -> fail msg
   in
-  if jobs = [] then begin
-    Fmt.epr "sw_gromacs: batch manifest %s has no jobs@." manifest_path;
-    exit 2
-  end;
-  let tracing = trace_file <> None || trace_summary in
-  if tracing then Swtrace.Trace.enable ();
+  if jobs = [] then
+    fail (Printf.sprintf "batch manifest %s has no jobs" manifest_path);
   let cache = Swstore.Cache.create (open_store store_dir) in
   let kv = Swstore.Kv.create ~ns:"batch" cache in
-  Swbench.Common.set_platform cfg;
   Swbench.Common.set_measure_store (Some kv);
   Fmt.pr "sw_gromacs batch: %d job(s) from %s (%s store, %d domain(s))@."
     (List.length jobs) manifest_path
@@ -83,11 +45,8 @@ let run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
       (fun () ->
         try Swbench.Batch.run ~kv jobs with
         | Swstore.Error.Corrupt e ->
-            Fmt.epr "sw_gromacs: store corruption: %s@." (Swstore.Error.to_string e);
-            exit 1
-        | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: %s@." msg;
-            exit 2)
+            fail ~code:1 ("store corruption: " ^ Swstore.Error.to_string e)
+        | Invalid_argument msg -> fail msg)
   in
   Fmt.pr "@.";
   Swbench.Batch.report Fmt.stdout ~kv ~cache ~wall_s outcomes;
@@ -101,49 +60,38 @@ let run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
         output_char oc '\n';
         close_out oc;
         Fmt.pr "report: %s@." path
-      with Sys_error msg ->
-        Fmt.epr "sw_gromacs: cannot write report: %s@." msg;
-        exit 1)
+      with Sys_error msg -> fail ~code:1 ("cannot write report: " ^ msg))
   | None -> ());
-  if tracing then export_trace ~cfg ~trace_file ~trace_summary;
+  Swbench.Cli.finish_trace ~prog trace;
   0
 
-let main particles steps variant_name platform_name dt temp seed domains
-    pipelined overlap write_traj trace_file trace_summary checkpoint_every
-    checkpoint_file restart_file faults_spec fault_seed store_dir store_name
-    restart_store batch_file report_file =
-  (try Swpar.Domains.set domains
-   with Invalid_argument msg ->
-     Fmt.epr "sw_gromacs: %s@." msg;
-     exit 2);
+let main particles steps variant_name () cfg dt temp seed pipelined overlap
+    write_traj (trace : Swbench.Cli.trace) checkpoint_every checkpoint_file
+    restart_file faults_spec fault_seed store_dir store_name restart_store
+    batch_file report_file =
+  (match checkpoint_every with
+  | Some k when k <= 0 ->
+      fail (Printf.sprintf "--checkpoint-every must be positive (got %d)" k)
+  | _ -> ());
+  if not (Float.is_finite dt && dt > 0.0) then
+    fail (Printf.sprintf "--dt must be finite and positive (got %g)" dt);
+  if not (Float.is_finite temp && temp > 0.0) then
+    fail (Printf.sprintf "--temp must be finite and positive (got %g)" temp);
   let variant =
     match Swgmx.Variant.of_string variant_name with
     | Some v -> v
     | None ->
-        Fmt.epr "unknown kernel variant %S (try: ori pkg cache vec mark rma rca ustc)@."
-          variant_name;
-        exit 2
-  in
-  (* resolve and validate the machine description once at the boundary *)
-  let cfg =
-    try
-      let p = Swarch.Platform.resolve platform_name in
-      Swarch.Platform.validate p;
-      p
-    with Invalid_argument msg ->
-      Fmt.epr "sw_gromacs: %s@." msg;
-      exit 2
+        fail
+          (Printf.sprintf
+             "unknown kernel variant %S (try: ori pkg cache vec mark rma rca ustc)"
+             variant_name)
   in
   match batch_file with
   | Some manifest_path ->
-      run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
-        ~trace_summary
+      run_batch ~manifest_path ~store_dir ~report_file ~trace
   | None ->
   let fault_plan =
-    try Swfault.Plan.of_string faults_spec
-    with Invalid_argument msg ->
-      Fmt.epr "sw_gromacs: %s@." msg;
-      exit 2
+    try Swfault.Plan.of_string faults_spec with Invalid_argument msg -> fail msg
   in
   let faults =
     if Swfault.Plan.is_zero fault_plan then None
@@ -155,47 +103,30 @@ let main particles steps variant_name platform_name dt temp seed domains
     lazy
       (try Swstore.Cache.create (open_store store_dir)
        with Swstore.Error.Corrupt e ->
-         Fmt.epr "sw_gromacs: cannot open store: %s@." (Swstore.Error.to_string e);
-         exit 2)
+         fail ("cannot open store: " ^ Swstore.Error.to_string e))
   in
-  if restart_store <> None && store_dir = None then begin
-    Fmt.epr "sw_gromacs: --restart-store needs --store DIR@.";
-    exit 2
-  end;
+  if restart_store <> None && store_dir = None then
+    fail "--restart-store needs --store DIR";
   let restart =
     match (restart_store, restart_file) with
-    | Some _, Some _ ->
-        Fmt.epr "sw_gromacs: --restart and --restart-store are exclusive@.";
-        exit 2
+    | Some _, Some _ -> fail "--restart and --restart-store are exclusive"
     | Some name, None -> (
         (* restart from the store-held checkpoint: chunks are hash-
            verified on the way out, so a damaged store fails here *)
         try Some (Swgmx.Engine.restart_of_store (Lazy.force store_cache) ~name)
         with
         | Swstore.Error.Corrupt e ->
-            Fmt.epr "sw_gromacs: cannot restart from store: %s@."
-              (Swstore.Error.to_string e);
-            exit 2
-        | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: cannot restart from store: %s@." msg;
-            exit 2)
+            fail ("cannot restart from store: " ^ Swstore.Error.to_string e)
+        | Invalid_argument msg -> fail ("cannot restart from store: " ^ msg))
     | None, Some path -> (
         try
           Some
             (Swio.Checkpoint.of_string
                (In_channel.with_open_text path In_channel.input_all))
-        with
-        | Sys_error msg | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: cannot restart: %s@." msg;
-            exit 2)
+        with Sys_error msg | Invalid_argument msg ->
+          fail ("cannot restart: " ^ msg))
     | None, None -> None
   in
-  let protected =
-    faults <> None || checkpoint_every <> None || restart_file <> None
-    || restart_store <> None
-  in
-  let tracing = trace_file <> None || trace_summary in
-  if tracing then Swtrace.Trace.enable ();
   let molecules = max 4 (particles / 3) in
   Fmt.pr "sw_gromacs: %d water molecules (%d atoms), %d steps, kernel %s%s, %d domain(s)@."
     molecules (3 * molecules) steps (Swgmx.Variant.name variant)
@@ -209,45 +140,37 @@ let main particles steps variant_name platform_name dt temp seed domains
   | None -> ());
   let t0 = Unix.gettimeofday () in
   let sample_every = max 1 (steps / 10) in
-  let samples, st =
-    if not protected then
-      Swgmx.Engine.simulate_state ~cfg ~variant ~dt ~temp ~pipelined ~molecules
-        ~seed ~steps ~sample_every ()
-    else begin
-      (* protected run: the recovery loop checkpoints on the pair-list
-         cadence and rolls back on unrecoverable faults; each capture
-         overwrites the checkpoint file so a crash restarts from the
-         latest one *)
-      let write_ck ck =
-        match store_dir with
-        | Some _ ->
-            (* checkpoint through the store: the capture is chunked,
-               content-addressed (identical captures cost nothing) and
-               filed under the mutable head --store-name *)
-            Swgmx.Engine.checkpoint_sink (Lazy.force store_cache)
-              ~name:store_name ck
-        | None ->
-            let oc = open_out checkpoint_file in
-            output_string oc (Swio.Checkpoint.to_string ck);
-            close_out oc
-      in
-      let on_checkpoint =
-        if checkpoint_every <> None then Some write_ck else None
-      in
-      let samples, st, rstats =
-        Swgmx.Engine.simulate_protected ~cfg ~variant ~dt ~temp ~pipelined
-          ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed
-          ~steps ~sample_every ()
-      in
-      Fmt.pr "recovery: %a@." Swfault.Recovery.pp_stats rstats;
-      (match faults with
-      | Some inj ->
-          Fmt.pr "faults: %a@." Swfault.Injector.pp_stats
-            (Swfault.Injector.stats inj)
-      | None -> ());
-      (samples, st)
-    end
+  (* a protected run checkpoints on the pair-list cadence and rolls
+     back on unrecoverable faults; each capture overwrites the
+     checkpoint so a crash restarts from the latest one *)
+  let write_ck ck =
+    match store_dir with
+    | Some _ ->
+        (* checkpoint through the store: the capture is chunked,
+           content-addressed (identical captures cost nothing) and filed
+           under the mutable head --store-name *)
+        Swgmx.Engine.checkpoint_sink (Lazy.force store_cache) ~name:store_name
+          ck
+    | None ->
+        let oc = open_out checkpoint_file in
+        output_string oc (Swio.Checkpoint.to_string ck);
+        close_out oc
   in
+  let on_checkpoint = Option.map (fun _ -> write_ck) checkpoint_every in
+  let samples, st, rstats =
+    Swgmx.Engine.simulate_protected ~cfg ~variant ~dt ~temp ~pipelined ?faults
+      ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
+      ~sample_every ()
+  in
+  (* only a protected run reports what its protection cost *)
+  if faults <> None || checkpoint_every <> None || restart <> None then begin
+    Fmt.pr "recovery: %a@." Swfault.Recovery.pp_stats rstats;
+    Option.iter
+      (fun inj ->
+        Fmt.pr "faults: %a@." Swfault.Injector.pp_stats
+          (Swfault.Injector.stats inj))
+      faults
+  end;
   Fmt.pr "@.%6s %16s %12s@." "step" "total E (kJ/mol)" "T (K)";
   List.iter
     (fun (s : Swgmx.Engine.sample) ->
@@ -258,7 +181,7 @@ let main particles steps variant_name platform_name dt temp seed domains
   (* the full-workflow step timeline (MPE phases + network track) comes
      from the analytic engine: price the same system decomposed over a
      few core groups so communication shows up on the trace *)
-  if tracing then
+  if Swbench.Cli.tracing trace then
     ignore
       (Swgmx.Engine.trace_steps ~cfg ~version:Swgmx.Engine.V_other ~pipelined
          ~plan ?faults ~total_atoms:(3 * molecules) ~n_cg:8 ~steps ());
@@ -292,7 +215,7 @@ let main particles steps variant_name platform_name dt temp seed domains
      Fmt.pr "@.trajectory frame: %d bytes in %d write call(s)@." bytes
        (Swio.Buffered_writer.flushes w)
    end);
-  if tracing then export_trace ~cfg ~trace_file ~trace_summary;
+  Swbench.Cli.finish_trace ~prog trace;
   Fmt.pr "@.wall time: %.1f s@." (Unix.gettimeofday () -. t0);
   0
 
@@ -308,29 +231,9 @@ let variant =
     value & opt string "mark"
     & info [ "k"; "kernel" ] ~doc:"Short-range kernel variant.")
 
-let platform =
-  Arg.(
-    value
-    & opt string Swarch.Platform.default.Swarch.Platform.name
-    & info [ "platform" ] ~docv:"NAME"
-        ~doc:
-          "Machine description to simulate: a built-in platform name \
-           ($(b,sw26010), $(b,sw26010_pro)) or the path of a key=value \
-           platform file (see docs/PLATFORMS.md).")
-
 let dt = Arg.(value & opt float 0.001 & info [ "dt" ] ~doc:"Time step (ps).")
 let temp = Arg.(value & opt float 300.0 & info [ "t"; "temp" ] ~doc:"Temperature (K).")
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-
-let domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Execute the CPE mesh walks and batch jobs over $(docv) OCaml \
-           domains (see docs/PARALLEL.md).  Sharding is static and the \
-           merge order fixed, so physics, cost charges and traces are \
-           bit-identical for every $(docv); 1 reproduces the serial path.")
 
 let pipelined =
   Arg.(
@@ -353,19 +256,6 @@ let overlap =
 
 let traj =
   Arg.(value & flag & info [ "traj" ] ~doc:"Write one trajectory frame at the end.")
-
-let trace_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Record the run and export a Chrome trace_event JSON file.")
-
-let trace_summary =
-  Arg.(
-    value & flag
-    & info [ "trace-summary" ]
-        ~doc:"Record the run and print phase/utilization/DMA/roofline tables.")
 
 let checkpoint_every =
   Arg.(
@@ -462,11 +352,11 @@ let report_file =
 let cmd =
   let doc = "molecular dynamics on the simulated Sunway SW26010" in
   Cmd.v
-    (Cmd.info "sw_gromacs" ~doc)
+    (Cmd.info prog ~doc)
     Term.(
-      const main $ particles $ steps $ variant $ platform $ dt $ temp $ seed
-      $ domains $ pipelined $ overlap $ traj $ trace_file $ trace_summary
-      $ checkpoint_every $ checkpoint_file $ restart $ faults $ fault_seed
+      const main $ particles $ steps $ variant $ Swbench.Cli.domains ~prog ()
+      $ Swbench.Cli.platform ~prog () $ dt $ temp $ seed $ pipelined $ overlap
+      $ traj $ Swbench.Cli.trace () $ checkpoint_every $ checkpoint_file $ restart $ faults $ fault_seed
       $ store_dir $ store_name $ restart_store $ batch_file $ report_file)
 
 let () = exit (Cmd.eval' cmd)

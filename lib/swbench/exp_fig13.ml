@@ -31,8 +31,9 @@ let data ~quick () =
   let sample_every = steps / 20 in
   let seed = 77 and dt = 0.001 and temp = 300.0 in
   (* optimized path: Mark kernel dynamics *)
-  let opt =
-    E.simulate ~dt ~temp ~molecules ~seed ~steps ~sample_every ~equil_steps ()
+  let opt, _, _ =
+    E.simulate_protected ~dt ~temp ~molecules ~seed ~steps ~sample_every
+      ~equil_steps ()
   in
   (* reference path: the same system through the double-precision flow *)
   let st, config = E.md_system ~dt ~temp ~molecules ~seed in

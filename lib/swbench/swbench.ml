@@ -16,3 +16,4 @@ module Exp_fig12 = Exp_fig12
 module Exp_fig13 = Exp_fig13
 module Ablations = Ablations
 module Registry = Registry
+module Cli = Cli

@@ -473,12 +473,24 @@ let equilibrate ~temp ~seed ~equil_steps (w : Md.Workflow.t) =
     Md.Workflow.run (Md.Workflow.create ~config:strong st) equil_steps
   end
 
-(* The full MD loop with the optional protection machinery: fault
-   injection (LDM flips rolling back to the last checkpoint), periodic
-   checkpoint capture and restart-from-checkpoint.  With no faults, no
-   cadence and no restart, the loop is operation-for-operation the
-   historical unprotected one, so its trajectory is bit-identical. *)
-let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
+(** [simulate_protected ?cfg ?variant ~molecules ~seed ~steps
+    ~sample_every ()] runs real water dynamics where the short-range
+    forces come from the optimized mixed-precision kernel (default
+    [Mark]) while PME, constraints and integration follow the reference
+    path — exactly the split of the paper's port.  It is the one MD
+    entry point, with the optional protection machinery: [faults]
+    injects the plan's LDM flips (each rolling the trajectory back to
+    the last checkpoint) and degrades the machine the kernel runs on;
+    [checkpoint_every] captures a {!Swio.Checkpoint} every N steps
+    (rounded up to the pair-list cadence; with faults but no explicit
+    interval, every rebuild); [restart] resumes a checkpointed
+    trajectory bit-identically; [on_checkpoint] observes each capture
+    (e.g. to write it to disk).  With none of them the loop is
+    operation-for-operation the unprotected one.  Returns the
+    energy/temperature samples (for comparison against the
+    double-precision {!Mdcore.Workflow}), the final particle state and
+    the {!Swfault.Recovery.stats} of what protection cost. *)
+let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     ?(dt = 0.001) ?(temp = 300.0) ?(equil_steps = 0) ?(pipelined = false)
     ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
     ~sample_every () =
@@ -669,41 +681,3 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     end
   done;
   (List.rev !samples, st, stats)
-
-(** [simulate_state ?cfg ?variant ~molecules ~seed ~steps ~sample_every ()]
-    runs real water dynamics where the short-range forces come from
-    the optimized mixed-precision kernel (default [Mark]) while PME,
-    constraints and integration follow the reference path — exactly
-    the split of the paper's port.  Returns energy/temperature samples
-    for comparison against the double-precision {!Mdcore.Workflow},
-    plus the final particle state (for trajectory output). *)
-let simulate_state ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-    ~seed ~steps ~sample_every () =
-  let samples, st, _ =
-    simulate_full ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-      ~seed ~steps ~sample_every ()
-  in
-  (samples, st)
-
-(** [simulate_protected ...] is the resilient MD loop: [faults] injects
-    the plan's LDM flips (each rolling the trajectory back to the last
-    checkpoint) and degrades the machine the kernel runs on;
-    [checkpoint_every] captures a {!Swio.Checkpoint} every N steps
-    (rounded up to the pair-list cadence; with faults but no explicit
-    interval, every rebuild); [restart] resumes a checkpointed
-    trajectory bit-identically; [on_checkpoint] observes each capture
-    (e.g. to write it to disk).  Returns the samples, the final state
-    and the {!Swfault.Recovery.stats} of what protection cost. *)
-let simulate_protected ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ?faults
-    ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
-    ~sample_every () =
-  simulate_full ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ?faults
-    ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
-    ~sample_every ()
-
-(** [simulate ...] is {!simulate_state} without the final state. *)
-let simulate ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules ~seed
-    ~steps ~sample_every () =
-  fst
-    (simulate_state ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-       ~seed ~steps ~sample_every ())

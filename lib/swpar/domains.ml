@@ -14,10 +14,18 @@
 
 let configured = ref 1
 
-(** [set n] installs the domain count ([n >= 1]); takes effect on the
-    next parallel section. *)
+(* the OCaml 5 runtime's default cap on live domains *)
+let max_count = 128
+
+(** [set n] installs the domain count ([1 <= n <= 128], the runtime's
+    domain limit); takes effect on the next parallel section. *)
 let set n =
-  if n < 1 then invalid_arg "Swpar.Domains.set: count must be >= 1";
+  if n < 1 || n > max_count then
+    invalid_arg
+      (Printf.sprintf
+         "Swpar.Domains.set: count must be in 1..%d (the OCaml runtime's \
+          domain limit), got %d"
+         max_count n);
   configured := n
 
 (** [get ()] is the configured domain count. *)

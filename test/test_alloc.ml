@@ -99,7 +99,7 @@ let test_checkpoint_goldens_across_domains () =
       with_domains d (fun () ->
           let captured = ref [] in
           let _s, _st, _stats =
-            E.simulate_full ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
+            E.simulate_protected ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
               ~checkpoint_every:10
               ~on_checkpoint:(fun ck ->
                 captured := Swio.Checkpoint.to_string ck :: !captured)

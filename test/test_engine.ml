@@ -123,14 +123,14 @@ let test_measurement_total_consistent () =
     (Float.abs (s -. m.Engine.step_time) < 1e-12)
 
 (* ------------------------------------------------------------------ *)
-(* Engine.simulate (the Fig 13 machinery, shortened) *)
+(* Engine.simulate_protected (the Fig 13 machinery, shortened) *)
 
 let test_simulate_tracks_reference () =
   (* a short run: optimized-kernel dynamics must stay close to the
      double-precision workflow in energy and temperature *)
   let molecules = 24 and steps = 40 in
-  let samples =
-    Engine.simulate ~molecules ~seed:42 ~steps ~sample_every:10 ()
+  let samples, _, _ =
+    Engine.simulate_protected ~molecules ~seed:42 ~steps ~sample_every:10 ()
   in
   Alcotest.(check int) "sample count" 4 (List.length samples);
   List.iter
@@ -143,7 +143,13 @@ let test_simulate_tracks_reference () =
     samples
 
 let test_simulate_deterministic () =
-  let run () = Engine.simulate ~molecules:16 ~seed:9 ~steps:10 ~sample_every:5 () in
+  let run () =
+    let samples, _, _ =
+      Engine.simulate_protected ~molecules:16 ~seed:9 ~steps:10 ~sample_every:5
+        ()
+    in
+    samples
+  in
   let a = run () and b = run () in
   List.iter2
     (fun x y ->

@@ -49,6 +49,21 @@ let qstripes_balanced =
 
 (* --- pool contracts ---------------------------------------------------- *)
 
+(* counts outside 1..128 (the runtime's domain limit) are rejected and
+   leave the configured count untouched *)
+let test_set_rejects_out_of_range () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "count %d" n)
+        (Invalid_argument
+           (Printf.sprintf
+              "Swpar.Domains.set: count must be in 1..128 (the OCaml \
+               runtime's domain limit), got %d"
+              n))
+        (fun () -> Swpar.Domains.set n);
+      Alcotest.(check int) "count unchanged" 1 (Swpar.Domains.get ()))
+    [ 0; 129; 100000 ]
+
 let test_map_stripes_order () =
   List.iter
     (fun d ->
@@ -180,7 +195,7 @@ let test_traced_step_bit_identity () =
 let checkpoint_bytes () =
   let captured = ref [] in
   let _samples, _st, _stats =
-    E.simulate_full ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
+    E.simulate_protected ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
       ~checkpoint_every:10
       ~on_checkpoint:(fun ck ->
         captured := Swio.Checkpoint.to_string ck :: !captured)
@@ -266,6 +281,8 @@ let suites =
     ("swpar.stripes", qsuite);
     ( "swpar.pool",
       [
+        Alcotest.test_case "domain count limited to 1..128" `Quick
+          test_set_rejects_out_of_range;
         Alcotest.test_case "map_stripes shard order" `Quick
           test_map_stripes_order;
         Alcotest.test_case "map_array element order" `Quick
