@@ -128,6 +128,12 @@ let main particles steps variant_name () cfg dt temp seed pipelined overlap
     | None, None -> None
   in
   let molecules = max 4 (particles / 3) in
+  Option.iter
+    (fun ck ->
+      Option.iter
+        (fun cause -> fail ("cannot restart: " ^ cause))
+        (Swgmx.Engine.restart_error ~cfg ~molecules ~steps ck))
+    restart;
   Fmt.pr "sw_gromacs: %d water molecules (%d atoms), %d steps, kernel %s%s, %d domain(s)@."
     molecules (3 * molecules) steps (Swgmx.Variant.name variant)
     (if pipelined then " (pipelined)" else "")

@@ -82,57 +82,6 @@ let apply t ~(ref_pos : Fbuf.t) ~(pos : Fbuf.t) =
   done;
   !iter
 
-(** [constrain_velocities t ~pos ~vel] removes velocity components
-    along each constraint (RATTLE-style projection), so constrained
-    bonds carry no internal kinetic energy.  Constraints within a
-    molecule are coupled, so the projection sweeps until converged. *)
-let constrain_velocities t ~(pos : Fbuf.t) ~(vel : Fbuf.t) =
-  let mass = t.topo.Topology.mass in
-  let cs = t.topo.Topology.constraints in
-  let sweep () =
-    let worst = ref 0.0 in
-    for k = 0 to Array.length cs - 1 do
-      let c = cs.(k) in
-      let i = c.Topology.ci and j = c.Topology.cj in
-      let dx = Fbuf.unsafe_get pos (3 * i) -. Fbuf.unsafe_get pos (3 * j) in
-      let dy =
-        Fbuf.unsafe_get pos ((3 * i) + 1) -. Fbuf.unsafe_get pos ((3 * j) + 1)
-      in
-      let dz =
-        Fbuf.unsafe_get pos ((3 * i) + 2) -. Fbuf.unsafe_get pos ((3 * j) + 2)
-      in
-      let d2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-      if d2 > 0.0 then begin
-        let dvx = Fbuf.unsafe_get vel (3 * i) -. Fbuf.unsafe_get vel (3 * j) in
-        let dvy =
-          Fbuf.unsafe_get vel ((3 * i) + 1) -. Fbuf.unsafe_get vel ((3 * j) + 1)
-        in
-        let dvz =
-          Fbuf.unsafe_get vel ((3 * i) + 2) -. Fbuf.unsafe_get vel ((3 * j) + 2)
-        in
-        let inv_mi = 1.0 /. mass.(i) and inv_mj = 1.0 /. mass.(j) in
-        let radial = (dx *. dvx) +. (dy *. dvy) +. (dz *. dvz) in
-        worst := Float.max !worst (Float.abs radial);
-        let g = radial /. (d2 *. (inv_mi +. inv_mj)) in
-        let si = -.g *. inv_mi in
-        Fbuf.unsafe_set vel (3 * i) (Fbuf.unsafe_get vel (3 * i) +. (si *. dx));
-        Fbuf.unsafe_set vel ((3 * i) + 1)
-          (Fbuf.unsafe_get vel ((3 * i) + 1) +. (si *. dy));
-        Fbuf.unsafe_set vel ((3 * i) + 2)
-          (Fbuf.unsafe_get vel ((3 * i) + 2) +. (si *. dz));
-        let sj = g *. inv_mj in
-        Fbuf.unsafe_set vel (3 * j) (Fbuf.unsafe_get vel (3 * j) +. (sj *. dx));
-        Fbuf.unsafe_set vel ((3 * j) + 1)
-          (Fbuf.unsafe_get vel ((3 * j) + 1) +. (sj *. dy));
-        Fbuf.unsafe_set vel ((3 * j) + 2)
-          (Fbuf.unsafe_get vel ((3 * j) + 2) +. (sj *. dz))
-      end
-    done;
-    !worst
-  in
-  let rec go n = if n < t.max_iter && sweep () > 1e-10 then go (n + 1) in
-  go 0
-
 (** [max_violation t pos] is the largest relative constraint error in
     [pos]; used by tests and sanity assertions. *)
 let max_violation t (pos : Fbuf.t) =

@@ -16,10 +16,5 @@ val n_constraints : t -> int
     the number of SHAKE iterations used. *)
 val apply : t -> ref_pos:Fbuf.t -> pos:Fbuf.t -> int
 
-(** [constrain_velocities t ~pos ~vel] removes velocity components
-    along each constraint (RATTLE-style projection), sweeping until the
-    coupled system converges. *)
-val constrain_velocities : t -> pos:Fbuf.t -> vel:Fbuf.t -> unit
-
 (** [max_violation t pos] is the largest relative constraint error. *)
 val max_violation : t -> Fbuf.t -> float

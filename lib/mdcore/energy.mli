@@ -6,7 +6,6 @@ type t = {
   mutable coulomb_recip : float;  (** PME reciprocal + self + exclusions *)
   mutable bonded : float;  (** bonds + angles + dihedrals *)
   mutable kinetic : float;
-  mutable virial : float;  (** pair virial, sum over pairs of r.F *)
 }
 
 (** [create ()] is a zeroed record. *)
@@ -20,6 +19,3 @@ val potential : t -> float
 
 (** [total t] is potential plus kinetic. *)
 val total : t -> float
-
-(** Pretty-printer listing every term. *)
-val pp : Format.formatter -> t -> unit

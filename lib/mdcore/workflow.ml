@@ -81,16 +81,30 @@ let neighbour_search t =
     Pair_list.build t.state.Md_state.box t.cluster ~pos:t.state.Md_state.pos
       ~rlist:t.config.rlist ()
 
-(** [compute_forces t] clears forces, evaluates every term and leaves
-    per-term energies in [t.energy] (kinetic untouched). *)
-let compute_forces t =
-  let state = t.state in
-  Md_state.clear_forces state;
+(* The step is four phases, composed below by {!compute_forces} and
+   {!step} and, with the optimized kernel in the short-range slot, by
+   the engine's dynamics loop: both runs of Figure 13 share every phase
+   but the short-range one. *)
+
+(** [reset_forces t] clears forces and every energy term except the
+    kinetic one. *)
+let reset_forces t =
+  Md_state.clear_forces t.state;
   let kin = t.energy.Energy.kinetic in
   Energy.reset t.energy;
-  t.energy.Energy.kinetic <- kin;
+  t.energy.Energy.kinetic <- kin
+
+(** [short_range t] adds the reference short-range non-bonded forces
+    and energies ({!Nonbonded.compute}) over the current pair list. *)
+let short_range t =
   t.pairs_in_cutoff <-
-    Nonbonded.compute state t.cluster t.pairs t.config.nb t.energy;
+    Nonbonded.compute t.state t.cluster t.pairs t.config.nb t.energy
+
+(** [long_range_and_bonded t] adds the rest of the force field: Ewald
+    exclusion corrections, the PME reciprocal sum and self energy, and
+    the bonded terms. *)
+let long_range_and_bonded t =
+  let state = t.state in
   Nonbonded.excluded_corrections state t.config.nb t.energy;
   (match (t.pme, t.config.nb.Nonbonded.elec) with
   | Some pme, Nonbonded.Ewald_real beta ->
@@ -107,12 +121,10 @@ let compute_forces t =
     Bonded.compute state.Md_state.box state.Md_state.topo state.Md_state.pos
       state.Md_state.force
 
-(** [step t] advances the system by one full MD step: neighbour search
-    when due, forces, leapfrog update, SHAKE, velocity back-derivation
-    and thermostat. *)
-let step t =
-  if t.step_count mod t.config.nstlist = 0 then neighbour_search t;
-  compute_forces t;
+(** [update t] is the configuration update from the current forces:
+    leapfrog, SHAKE, velocity back-derivation, thermostat, and the new
+    kinetic energy.  It does not advance [t.step_count]. *)
+let update t =
   let state = t.state in
   Fbuf.blit state.Md_state.pos 0 t.ref_pos 0 (Fbuf.length t.ref_pos);
   Integrator.step state ~dt:t.config.dt;
@@ -131,7 +143,21 @@ let step t =
   (match t.config.thermostat with
   | Some th -> Thermostat.apply th state ~dt:t.config.dt
   | None -> ());
-  t.energy.Energy.kinetic <- Md_state.kinetic_energy state;
+  t.energy.Energy.kinetic <- Md_state.kinetic_energy state
+
+(** [compute_forces t] clears forces, evaluates every term and leaves
+    per-term energies in [t.energy] (kinetic untouched). *)
+let compute_forces t =
+  reset_forces t;
+  short_range t;
+  long_range_and_bonded t
+
+(** [step t] advances the system by one full MD step: neighbour search
+    when due, forces, then the configuration update. *)
+let step t =
+  if t.step_count mod t.config.nstlist = 0 then neighbour_search t;
+  compute_forces t;
+  update t;
   t.step_count <- t.step_count + 1
 
 (** [minimize ?steps t] relaxes the configuration by steepest descent

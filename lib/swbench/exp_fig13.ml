@@ -32,8 +32,8 @@ let data ~quick () =
   let seed = 77 and dt = 0.001 and temp = 300.0 in
   (* optimized path: Mark kernel dynamics *)
   let opt, _, _ =
-    E.simulate_protected ~dt ~temp ~molecules ~seed ~steps ~sample_every
-      ~equil_steps ()
+    E.simulate_protected ~cfg:(Common.cfg ()) ~dt ~temp ~molecules ~seed
+      ~steps ~sample_every ~equil_steps ()
   in
   (* reference path: the same system through the double-precision flow *)
   let st, config = E.md_system ~dt ~temp ~molecules ~seed in

@@ -29,7 +29,3 @@ let miss_ratio t =
 let hit_ratio t =
   let n = accesses t in
   if n = 0 then 0.0 else float_of_int t.hits /. float_of_int n
-
-(** Pretty-printer: "hits/misses (miss%)". *)
-let pp ppf t =
-  Fmt.pf ppf "%d/%d (%.1f%% miss)" t.hits t.misses (100.0 *. miss_ratio t)

@@ -21,6 +21,3 @@ val miss_ratio : t -> float
 
 (** [hit_ratio t] is hits / accesses, or [0.] before any access. *)
 val hit_ratio : t -> float
-
-(** Pretty-printer: "hits/misses (miss%)". *)
-val pp : Format.formatter -> t -> unit

@@ -11,9 +11,10 @@
       swstep planner, serially (the paper's measured profile) or with
       communication overlapped behind independent compute
       ([~plan:Overlap], the RDMA-hides-halo ablation);
-    - {!simulate}: actually integrate the equations of motion using
-      the optimized (mixed-precision) short-range kernel, producing
-      the trajectory data behind the accuracy experiment (Figure 13). *)
+    - {!simulate_protected}: actually integrate the equations of
+      motion with the optimized (mixed-precision) short-range kernel
+      in {!Mdcore.Workflow}'s step, producing the trajectory data
+      behind the accuracy experiment (Figure 13). *)
 
 module K = Kernel_common
 module Md = Mdcore
@@ -433,6 +434,9 @@ let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
 
 type sample = { step : int; total_energy : float; temperature : float }
 
+(* pair-list refresh interval of the real dynamics runs *)
+let md_nstlist = 10
+
 (** [md_system ~dt ~temp ~molecules ~seed] is the water box and
     workflow configuration of the real dynamics runs: real-space Ewald
     at a 0.9 nm cut-off (clamped for small boxes) plus a 32-point PME
@@ -446,7 +450,7 @@ let md_system ~dt ~temp ~molecules ~seed =
   ( st,
     {
       Md.Workflow.dt;
-      nstlist = 10;
+      nstlist = md_nstlist;
       rlist = rcut;
       nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta };
       pme_grid = Some 32;
@@ -473,11 +477,43 @@ let equilibrate ~temp ~seed ~equil_steps (w : Md.Workflow.t) =
     Md.Workflow.run (Md.Workflow.create ~config:strong st) equil_steps
   end
 
+(** [restart_error ?cfg ~molecules ~steps ck] is why [ck] cannot
+    resume a [steps]-step {!simulate_protected} run of [molecules]
+    waters on [cfg], or [None] when it can: the atom count and platform
+    must match, the step must sit on the pair-list cadence, and it must
+    lie before the last step. *)
+let restart_error ?(cfg = Swarch.Config.default) ~molecules ~steps
+    (ck : Swio.Checkpoint.t) =
+  let n = 3 * molecules and step = ck.Swio.Checkpoint.step in
+  if ck.Swio.Checkpoint.n_atoms <> n then
+    Some
+      (Printf.sprintf "checkpoint holds %d atoms, the run has %d"
+         ck.Swio.Checkpoint.n_atoms n)
+  else if
+    ck.Swio.Checkpoint.platform <> ""
+    && ck.Swio.Checkpoint.platform <> cfg.Swarch.Config.name
+  then
+    Some
+      (Printf.sprintf
+         "checkpoint was taken on platform %s, restarting on %s would not be \
+          bit-faithful"
+         ck.Swio.Checkpoint.platform cfg.Swarch.Config.name)
+  else if step < 0 || step mod md_nstlist <> 0 then
+    Some
+      (Printf.sprintf "checkpoint step %d is not a multiple of nstlist %d" step
+         md_nstlist)
+  else if step >= steps then
+    Some
+      (Printf.sprintf "checkpoint step %d is at or past the last step %d" step
+         steps)
+  else None
+
 (** [simulate_protected ?cfg ?variant ~molecules ~seed ~steps
     ~sample_every ()] runs real water dynamics where the short-range
     forces come from the optimized mixed-precision kernel (default
-    [Mark]) while PME, constraints and integration follow the reference
-    path — exactly the split of the paper's port.  It is the one MD
+    [Mark]) in the short-range slot of {!Mdcore.Workflow}'s step, whose
+    other phases (PME, constraints, integration) run unchanged —
+    exactly the split of the paper's port.  It is the one MD
     entry point, with the optional protection machinery: [faults]
     injects the plan's LDM flips (each rolling the trajectory back to
     the last checkpoint) and degrades the machine the kernel runs on;
@@ -507,7 +543,7 @@ let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
   let cadence =
     match checkpoint_every with
     | Some k when k > 0 -> Some ((k + nstlist - 1) / nstlist * nstlist)
-    | Some _ -> invalid_arg "Engine.simulate: checkpoint_every must be positive"
+    | Some _ -> invalid_arg "Engine.simulate_protected: checkpoint_every must be positive"
     | None -> ( match faults with Some _ -> Some nstlist | None -> None)
   in
   (* restart: restore the checkpointed particle state before anything
@@ -517,28 +553,14 @@ let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     match restart with
     | None -> 0
     | Some (ck : Swio.Checkpoint.t) ->
-        if ck.Swio.Checkpoint.n_atoms <> n then
-          invalid_arg "Engine.simulate: checkpoint atom count mismatch";
-        if
-          ck.Swio.Checkpoint.platform <> ""
-          && ck.Swio.Checkpoint.platform <> cfg.Swarch.Config.name
-        then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.simulate: checkpoint was taken on platform %s, \
-                restarting on %s would not be bit-faithful"
-               ck.Swio.Checkpoint.platform cfg.Swarch.Config.name);
-        if
-          ck.Swio.Checkpoint.step < 0
-          || ck.Swio.Checkpoint.step mod nstlist <> 0
-        then invalid_arg "Engine.simulate: checkpoint step not nstlist-aligned";
+        Option.iter
+          (fun cause -> invalid_arg ("Engine.simulate_protected: " ^ cause))
+          (restart_error ~cfg ~molecules ~steps ck);
         ignore
           (Swio.Checkpoint.restore ck ~pos:st.Md.Md_state.pos
              ~vel:st.Md.Md_state.vel);
         ck.Swio.Checkpoint.step
   in
-  if start_step >= steps && restart <> None then
-    invalid_arg "Engine.simulate: checkpoint is at or past the last step";
   let w = Md.Workflow.create ~config st in
   if Option.is_none restart then equilibrate ~temp ~seed ~equil_steps w;
   let cg = Swarch.Core_group.create cfg in
@@ -579,21 +601,24 @@ let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     Swtrace.Trace.push ~cat:"step" Swtrace.Track.Mpe "step:md";
     if (s - 1) mod config.Md.Workflow.nstlist = 0 then
       Md.Workflow.neighbour_search w;
-    (* forces: short-range from the optimized kernel, the rest from the
-       reference path *)
-    Md.Md_state.clear_forces st;
-    let kin = w.Md.Workflow.energy.Md.Energy.kinetic in
-    Md.Energy.reset w.Md.Workflow.energy;
-    w.Md.Workflow.energy.Md.Energy.kinetic <- kin;
+    (* forces: the reference step's phases with the optimized kernel
+       in the short-range slot *)
+    Md.Workflow.reset_forces w;
     let sys =
       K.make cfg ~box ~params ~cl:w.Md.Workflow.cluster
         ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff ~pos:st.Md.Md_state.pos
     in
     let outcome = Kernel.run ~pipelined ?faults sys w.Md.Workflow.pairs cg variant in
-    (* an LDM bit flip is detected when the per-CPE force copies are
-       reduced: the step's forces are untrustworthy, so roll back to
-       the last checkpoint and replay from there (the flip is consumed
-       — the replayed step runs clean, so recovery terminates) *)
+    K.scatter_forces sys outcome.Kernel.result st.Md.Md_state.force;
+    w.Md.Workflow.energy.Md.Energy.lj <- K.e_lj outcome.Kernel.result;
+    w.Md.Workflow.energy.Md.Energy.coulomb_sr <- K.e_coul outcome.Kernel.result;
+    Md.Workflow.long_range_and_bonded w;
+    (* an LDM bit flip in the kernel leaves the step's forces
+       untrustworthy, so roll back to the last checkpoint and replay
+       from there (the flip is consumed — the replayed step runs clean,
+       so recovery terminates).  Checking after the whole force phase
+       moves no output: the flip draw depends only on (seed, step), and
+       the next step clears the forces and PME grid this one wrote. *)
     let flip =
       match faults with
       | Some inj -> Swfault.Injector.ldm_flip inj ~step:s
@@ -627,41 +652,7 @@ let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
       step := ck.Swio.Checkpoint.step + 1
     end
     else begin
-      K.scatter_forces sys outcome.Kernel.result st.Md.Md_state.force;
-      w.Md.Workflow.energy.Md.Energy.lj <- K.e_lj outcome.Kernel.result;
-      w.Md.Workflow.energy.Md.Energy.coulomb_sr <- K.e_coul outcome.Kernel.result;
-      Md.Nonbonded.excluded_corrections st params w.Md.Workflow.energy;
-      (match w.Md.Workflow.pme with
-      | Some pme ->
-          Md.Pme.spread pme ~pos:st.Md.Md_state.pos
-            ~charge:st.Md.Md_state.topo.Md.Topology.charge ~n;
-          let e_recip = Md.Pme.solve pme in
-          Md.Pme.gather_forces pme ~pos:st.Md.Md_state.pos
-            ~charge:st.Md.Md_state.topo.Md.Topology.charge ~n
-            ~force:st.Md.Md_state.force;
-          w.Md.Workflow.energy.Md.Energy.coulomb_recip <-
-            w.Md.Workflow.energy.Md.Energy.coulomb_recip +. e_recip
-            +. Md.Coulomb.self_energy ~beta:sys.K.beta
-                 st.Md.Md_state.topo.Md.Topology.charge
-      | None -> ());
-      (* configuration update: leapfrog + SHAKE + thermostat *)
-      Md.Fbuf.blit st.Md.Md_state.pos 0 w.Md.Workflow.ref_pos 0 (3 * n);
-      Md.Integrator.step st ~dt;
-      ignore
-        (Md.Constraints.apply w.Md.Workflow.shake ~ref_pos:w.Md.Workflow.ref_pos
-           ~pos:st.Md.Md_state.pos);
-      let inv_dt = 1.0 /. dt in
-      let pos = st.Md.Md_state.pos
-      and vel = st.Md.Md_state.vel
-      and ref_pos = w.Md.Workflow.ref_pos in
-      for k = 0 to (3 * n) - 1 do
-        Md.Fbuf.unsafe_set vel k
-          ((Md.Fbuf.unsafe_get pos k -. Md.Fbuf.unsafe_get ref_pos k) *. inv_dt)
-      done;
-      (match config.Md.Workflow.thermostat with
-      | Some th -> Md.Thermostat.apply th st ~dt
-      | None -> ());
-      w.Md.Workflow.energy.Md.Energy.kinetic <- Md.Md_state.kinetic_energy st;
+      Md.Workflow.update w;
       if s mod sample_every = 0 then
         samples :=
           {

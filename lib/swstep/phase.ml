@@ -14,8 +14,6 @@ type work = { flops : float; bytes : float }
 (** Total work of an analytic phase (already multiplied out, not
     per-atom). *)
 
-let no_work = { flops = 0.0; bytes = 0.0 }
-
 (** [per_atom ~flops ~bytes n] is the total work of [n] atoms at the
     given per-atom cost. *)
 let per_atom ~flops ~bytes n =

@@ -37,8 +37,6 @@ let to_string = function
       Printf.sprintf "store I/O on %s still failing after %d attempts: %s" path
         attempts last
 
-let pp ppf e = Fmt.string ppf (to_string e)
-
 (** [raise_corrupt e] raises {!Corrupt}; the [_exn] entry points of
     the store funnel through here. *)
 let raise_corrupt e = raise (Corrupt e)

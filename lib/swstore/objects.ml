@@ -1,11 +1,10 @@
-(** Domain objects through the store: checkpoints and trajectories.
+(** Domain objects through the store: checkpoints.
 
-    The swio serializers already define the byte formats (hex-float
-    checkpoints, XTC fixed-point frames); this module is the chunking
-    layer — an object's byte stream is split into content-addressed
-    chunks and described by one manifest, so long trajectories never
-    materialize as one file and identical checkpoints deduplicate to
-    zero new bytes. *)
+    The swio serializer already defines the byte format (hex-float
+    checkpoints); this module is the chunking layer — a checkpoint's
+    byte stream is split into content-addressed chunks and described by
+    one manifest, so identical checkpoints deduplicate to zero new
+    bytes. *)
 
 (* --- checkpoints ----------------------------------------------------- *)
 
@@ -53,54 +52,3 @@ let get_checkpoint cache ~name =
     Error.raise_corrupt
       (Error.Bad_header (Printf.sprintf "%s is a %s, not a checkpoint" name m.Manifest.kind));
   Swio.Checkpoint.of_string (assemble cache m)
-
-(* --- trajectories ---------------------------------------------------- *)
-
-(* XTC frames self-delimit, so a trajectory object is simply the
-   concatenation of its chunks; appending a frame appends chunks and
-   rewrites the manifest head *)
-
-let frame_bytes (frame : Swio.Xtc.frame) =
-  let sink = Buffer.create 1024 in
-  let w = Swio.Buffered_writer.create (Swio.Buffered_writer.To_buffer sink) in
-  Swio.Xtc.write w frame;
-  Swio.Buffered_writer.flush w;
-  Buffer.contents sink
-
-(** [append_frame cache ~name frame] appends one XTC frame to the
-    trajectory object [name], creating it on first use. *)
-let append_frame cache ~name (frame : Swio.Xtc.frame) =
-  let store = Cache.store cache in
-  let prev =
-    match Store.get_manifest store name with
-    | Ok m when m.Manifest.kind = "trajectory" -> m.Manifest.chunks
-    | Ok m ->
-        Error.raise_corrupt
-          (Error.Bad_header
-             (Printf.sprintf "%s is a %s, not a trajectory" name m.Manifest.kind))
-    | Error (Error.Missing _) -> []
-    | Error e -> Error.raise_corrupt e
-  in
-  let fresh =
-    List.map
-      (fun piece -> (Cache.put cache piece, String.length piece))
-      (Chunk.split (frame_bytes frame))
-  in
-  let chunks = prev @ fresh in
-  let meta =
-    [
-      ("frames", "appended");
-      ("n_atoms", string_of_int frame.Swio.Xtc.n_atoms);
-      ("last_step", string_of_int frame.Swio.Xtc.step);
-    ]
-  in
-  Store.put_manifest store (Manifest.v ~kind:"trajectory" ~name ~meta chunks)
-
-(** [get_frames cache ~name] reassembles the trajectory and decodes
-    every frame through the hardened XTC parser. *)
-let get_frames cache ~name =
-  let m = Store.get_manifest_exn (Cache.store cache) name in
-  if m.Manifest.kind <> "trajectory" then
-    Error.raise_corrupt
-      (Error.Bad_header (Printf.sprintf "%s is a %s, not a trajectory" name m.Manifest.kind));
-  Swio.Xtc.read_all (assemble cache m)

@@ -226,5 +226,3 @@ let member key = function
   | _ -> None
 
 let to_list = function Arr items -> Some items | _ -> None
-let to_float = function Num x -> Some x | _ -> None
-let to_str = function Str s -> Some s | _ -> None

@@ -711,17 +711,13 @@ let test_shake_restores_geometry () =
   Alcotest.(check bool) "satisfied after" true
     (Constraints.max_violation shake st.Md_state.pos < 1e-4)
 
-let test_velocity_constraint_projection () =
-  let st = Water.build ~molecules:4 ~seed:101 () in
-  let shake = Constraints.create st.Md_state.topo in
-  Constraints.constrain_velocities shake ~pos:st.Md_state.pos ~vel:st.Md_state.vel;
-  (* relative velocity along each constraint must vanish *)
-  Array.iter
-    (fun (c : Topology.constraint_) ->
-      let d = Vec3.sub (Vec3.get st.Md_state.pos c.Topology.ci) (Vec3.get st.Md_state.pos c.Topology.cj) in
-      let dv = Vec3.sub (Vec3.get st.Md_state.vel c.Topology.ci) (Vec3.get st.Md_state.vel c.Topology.cj) in
-      check_float ~eps:1e-9 "no radial velocity" 0.0 (Vec3.dot d dv))
-    st.Md_state.topo.Topology.constraints
+let test_berendsen_is_deterministic_contraction () =
+  let st = Water.build ~molecules:16 ~seed:23 ~temp:400.0 () in
+  let th = Thermostat.create ~t_ref:300.0 ~tau:0.1 () in
+  let t0 = Md_state.temperature st in
+  Thermostat.apply th st ~dt:0.002;
+  let t1 = Md_state.temperature st in
+  Alcotest.(check bool) "moves towards target" true (t1 < t0 && t1 > 300.0)
 
 (* ------------------------------------------------------------------ *)
 (* Integrator + Workflow *)
@@ -838,6 +834,295 @@ let test_workflow_momentum_conserved_without_thermostat () =
   Workflow.run w 20;
   check_float ~eps:1e-6 "x momentum conserved" p0 (momentum ())
 
+(* ------------------------------------------------------------------ *)
+(* Step phases: the four pieces that compose Workflow.step *)
+
+let check_exact msg a b =
+  try Swverify.Tol.check ~what:msg Swverify.Tol.exact a b
+  with Failure m -> Alcotest.fail m
+
+let small_workflow ?(pme = false) ?thermostat ~seed () =
+  let st = Water.build ~molecules:16 ~seed () in
+  let rcut = 0.45 *. Box.min_edge st.Md_state.box in
+  let elec, pme_grid =
+    if pme then
+      (Nonbonded.Ewald_real (Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5), Some 16)
+    else (Nonbonded.Reaction_field, None)
+  in
+  let config =
+    {
+      Workflow.dt = 0.001;
+      nstlist = 5;
+      rlist = rcut;
+      nb = { Nonbonded.rcut; elec };
+      pme_grid;
+      thermostat;
+    }
+  in
+  Workflow.create ~config st
+
+let test_phase_reset_keeps_kinetic () =
+  let w = small_workflow ~pme:true ~seed:113 () in
+  Workflow.compute_forces w;
+  w.Workflow.energy.Energy.kinetic <- 5.0;
+  Workflow.reset_forces w;
+  Fbuf.iteri
+    (fun i f -> check_exact (Printf.sprintf "force %d cleared" i) 0.0 f)
+    w.Workflow.state.Md_state.force;
+  let e = w.Workflow.energy in
+  check_exact "lj" 0.0 e.Energy.lj;
+  check_exact "coulomb_sr" 0.0 e.Energy.coulomb_sr;
+  check_exact "coulomb_recip" 0.0 e.Energy.coulomb_recip;
+  check_exact "bonded" 0.0 e.Energy.bonded;
+  check_exact "kinetic kept" 5.0 e.Energy.kinetic
+
+let test_phase_forces_are_additive () =
+  (* each force phase only adds: the composed forces are the sum of
+     what the short-range and the long-range/bonded phases give alone *)
+  let w = small_workflow ~pme:true ~seed:127 () in
+  let force = w.Workflow.state.Md_state.force in
+  Workflow.reset_forces w;
+  Workflow.short_range w;
+  let f_sr = Fbuf.copy force and lj = w.Workflow.energy.Energy.lj in
+  Workflow.reset_forces w;
+  Workflow.long_range_and_bonded w;
+  let f_lr = Fbuf.copy force
+  and recip = w.Workflow.energy.Energy.coulomb_recip in
+  Alcotest.(check bool) "long-range phase adds no LJ" true
+    (w.Workflow.energy.Energy.lj = 0.0);
+  Workflow.compute_forces w;
+  Fbuf.iteri
+    (fun i f ->
+      check_float ~eps:1e-9 (Printf.sprintf "force %d" i)
+        (Fbuf.get f_sr i +. Fbuf.get f_lr i) f)
+    force;
+  check_exact "LJ from the short-range phase" lj w.Workflow.energy.Energy.lj;
+  check_exact "reciprocal from the long-range phase" recip
+    w.Workflow.energy.Energy.coulomb_recip
+
+let test_phase_short_range_matches_brute_force () =
+  let w = small_workflow ~seed:131 () in
+  let st = w.Workflow.state in
+  Workflow.reset_forces w;
+  Workflow.short_range w;
+  let e = Energy.create () in
+  let n = Nonbonded.brute_force st w.Workflow.config.Workflow.nb e in
+  Alcotest.(check int) "pairs in cutoff recorded" n w.Workflow.pairs_in_cutoff;
+  check_float ~eps:1e-9 "LJ" e.Energy.lj w.Workflow.energy.Energy.lj;
+  check_float ~eps:1e-9 "Coulomb" e.Energy.coulomb_sr
+    w.Workflow.energy.Energy.coulomb_sr
+
+let test_phase_reaction_field_has_no_recip () =
+  let w = small_workflow ~seed:137 () in
+  Workflow.reset_forces w;
+  Workflow.long_range_and_bonded w;
+  check_exact "no reciprocal energy" 0.0 w.Workflow.energy.Energy.coulomb_recip;
+  (* rigid SPC/E has no bonded terms: nothing moves the forces *)
+  Fbuf.iteri
+    (fun i f -> check_exact (Printf.sprintf "force %d" i) 0.0 f)
+    w.Workflow.state.Md_state.force
+
+let test_phase_step_is_composition () =
+  let th () = Thermostat.create ~t_ref:300.0 ~tau:0.1 () in
+  let a = small_workflow ~thermostat:(th ()) ~seed:139 ()
+  and b = small_workflow ~thermostat:(th ()) ~seed:139 () in
+  for s = 0 to 11 do
+    Workflow.step a;
+    if s mod b.Workflow.config.Workflow.nstlist = 0 then Workflow.neighbour_search b;
+    Workflow.reset_forces b;
+    Workflow.short_range b;
+    Workflow.long_range_and_bonded b;
+    Workflow.update b;
+    b.Workflow.step_count <- b.Workflow.step_count + 1
+  done;
+  Alcotest.(check int) "steps" 12 a.Workflow.step_count;
+  Fbuf.iteri
+    (fun i x -> check_exact (Printf.sprintf "pos %d" i) x (Fbuf.get b.Workflow.state.Md_state.pos i))
+    a.Workflow.state.Md_state.pos;
+  Fbuf.iteri
+    (fun i v -> check_exact (Printf.sprintf "vel %d" i) v (Fbuf.get b.Workflow.state.Md_state.vel i))
+    a.Workflow.state.Md_state.vel;
+  check_exact "total energy" (Workflow.total_energy a) (Workflow.total_energy b)
+
+let test_phase_update_keeps_step_count () =
+  let w = small_workflow ~seed:149 () in
+  Workflow.compute_forces w;
+  Workflow.update w;
+  Alcotest.(check int) "update alone does not count a step" 0 w.Workflow.step_count
+
+let test_phase_update_restores_constraints () =
+  let w = small_workflow ~seed:151 () in
+  Md_state.thermalize w.Workflow.state (Rng.create 3) 600.0;
+  Workflow.compute_forces w;
+  Workflow.update w;
+  Alcotest.(check bool) "SHAKE applied" true
+    (Constraints.max_violation w.Workflow.shake w.Workflow.state.Md_state.pos < 1e-6)
+
+let test_phase_update_velocity_is_displacement () =
+  (* without a thermostat the constrained velocity is exactly the
+     constrained displacement over dt *)
+  let w = small_workflow ~seed:157 () in
+  let st = w.Workflow.state in
+  let before = Fbuf.copy st.Md_state.pos in
+  Workflow.compute_forces w;
+  Workflow.update w;
+  let inv_dt = 1.0 /. w.Workflow.config.Workflow.dt in
+  Fbuf.iteri
+    (fun k v ->
+      check_exact (Printf.sprintf "vel %d" k)
+        ((Fbuf.get st.Md_state.pos k -. Fbuf.get before k) *. inv_dt)
+        v)
+    st.Md_state.vel
+
+let test_phase_update_records_kinetic () =
+  let w =
+    small_workflow ~thermostat:(Thermostat.create ~t_ref:300.0 ~tau:0.1 ())
+      ~seed:163 ()
+  in
+  Workflow.compute_forces w;
+  Workflow.update w;
+  check_exact "kinetic of the updated state"
+    (Md_state.kinetic_energy w.Workflow.state) w.Workflow.energy.Energy.kinetic
+
+let test_workflow_rejects_short_rlist () =
+  let st = Water.build ~molecules:8 ~seed:167 () in
+  let config = { Workflow.default_config with Workflow.rlist = 0.5; pme_grid = None } in
+  Alcotest.check_raises "rlist < rcut"
+    (Invalid_argument "Workflow.create: rlist must be >= rcut") (fun () ->
+      ignore (Workflow.create ~config st))
+
+let test_minimize_keeps_constraints () =
+  let w = small_workflow ~seed:173 () in
+  ignore (Workflow.minimize ~steps:20 w);
+  Alcotest.(check bool) "constraints hold after minimization" true
+    (Constraints.max_violation w.Workflow.shake w.Workflow.state.Md_state.pos < 1e-6)
+
+(* ------------------------------------------------------------------ *)
+(* Thermostat, integrator, energy, constraints: unit behaviour *)
+
+let test_berendsen_lambda_one_at_target () =
+  let th = Thermostat.create ~t_ref:300.0 ~tau:0.1 () in
+  check_exact "lambda at t_ref" 1.0 (Thermostat.lambda th ~dt:0.002 ~temp:300.0);
+  check_exact "lambda at 0 K" 1.0 (Thermostat.lambda th ~dt:0.002 ~temp:0.0)
+
+let test_berendsen_lambda_clamped () =
+  let th = Thermostat.create ~t_ref:300.0 ~tau:0.002 () in
+  check_exact "hot system clamped" 0.8 (Thermostat.lambda th ~dt:0.002 ~temp:1e6);
+  check_exact "cold system clamped" 1.25 (Thermostat.lambda th ~dt:0.002 ~temp:1.0)
+
+let test_berendsen_tau_dt_reaches_target () =
+  (* tau = dt makes lambda^2 = T0/T: one application lands on T0 *)
+  let st = Water.build ~molecules:16 ~seed:179 ~temp:400.0 () in
+  let th = Thermostat.create ~t_ref:300.0 ~tau:0.002 () in
+  Thermostat.apply th st ~dt:0.002;
+  check_float ~eps:1e-9 "temperature at target" 300.0 (Md_state.temperature st)
+
+let test_berendsen_heats_cold_system () =
+  let st = Water.build ~molecules:16 ~seed:181 ~temp:200.0 () in
+  let th = Thermostat.create ~t_ref:300.0 ~tau:0.1 () in
+  let t0 = Md_state.temperature st in
+  Thermostat.apply th st ~dt:0.002;
+  let t1 = Md_state.temperature st in
+  Alcotest.(check bool) "moves up towards target" true (t1 > t0 && t1 < 300.0)
+
+let test_thermostat_rejects_bad_parameters () =
+  Alcotest.check_raises "t_ref"
+    (Invalid_argument "Thermostat.create: t_ref must be positive") (fun () ->
+      ignore (Thermostat.create ~t_ref:0.0 ~tau:0.1 ()));
+  Alcotest.check_raises "tau"
+    (Invalid_argument "Thermostat.create: tau must be positive") (fun () ->
+      ignore (Thermostat.create ~t_ref:300.0 ~tau:(-1.0) ()))
+
+let three_free_atoms () =
+  let topo = { (Topology.water 1) with Topology.constraints = [||] } in
+  let st = Md_state.create topo Forcefield.spce (Box.cubic 10.0) in
+  Vec3.set st.Md_state.pos 0 (Vec3.make 1.0 2.0 3.0);
+  Vec3.set st.Md_state.pos 1 (Vec3.make 4.0 5.0 6.0);
+  Vec3.set st.Md_state.pos 2 (Vec3.make 7.0 8.0 9.0);
+  Vec3.set st.Md_state.vel 0 (Vec3.make 0.5 (-0.25) 1.0);
+  Vec3.set st.Md_state.vel 1 (Vec3.make (-1.0) 0.0 0.125);
+  Vec3.set st.Md_state.vel 2 (Vec3.make 0.0 2.0 (-0.5));
+  st
+
+let test_leapfrog_free_flight () =
+  let st = three_free_atoms () in
+  let pos0 = Fbuf.copy st.Md_state.pos and vel0 = Fbuf.copy st.Md_state.vel in
+  Integrator.step st ~dt:0.01;
+  Fbuf.iteri
+    (fun k v -> check_exact (Printf.sprintf "vel %d unchanged" k) (Fbuf.get vel0 k) v)
+    st.Md_state.vel;
+  Fbuf.iteri
+    (fun k x ->
+      check_exact (Printf.sprintf "pos %d" k) (Fbuf.get pos0 k +. (0.01 *. Fbuf.get vel0 k)) x)
+    st.Md_state.pos
+
+let test_leapfrog_kick_then_drift () =
+  let st = three_free_atoms () in
+  let dt = 0.002 in
+  let vel0 = Fbuf.copy st.Md_state.vel and pos0 = Fbuf.copy st.Md_state.pos in
+  Fbuf.iteri (fun k _ -> Fbuf.set st.Md_state.force k (float_of_int (k - 4))) st.Md_state.force;
+  Integrator.step st ~dt;
+  let mass = st.Md_state.topo.Topology.mass in
+  Fbuf.iteri
+    (fun k v ->
+      let v_exp = Fbuf.get vel0 k +. (float_of_int (k - 4) *. (dt /. mass.(k / 3))) in
+      check_exact (Printf.sprintf "vel %d kicked by f dt/m" k) v_exp v;
+      check_exact (Printf.sprintf "pos %d drifts with the new velocity" k)
+        (Fbuf.get pos0 k +. (dt *. v_exp))
+        (Fbuf.get st.Md_state.pos k))
+    st.Md_state.vel
+
+let test_leapfrog_rejects_bad_dt () =
+  let st = three_free_atoms () in
+  Alcotest.check_raises "dt = 0"
+    (Invalid_argument "Integrator.step: dt must be positive") (fun () ->
+      Integrator.step st ~dt:0.0)
+
+let test_energy_sums_and_reset () =
+  let e = Energy.create () in
+  e.Energy.lj <- 1.0;
+  e.Energy.coulomb_sr <- 2.0;
+  e.Energy.coulomb_recip <- 4.0;
+  e.Energy.bonded <- 8.0;
+  e.Energy.kinetic <- 16.0;
+  check_exact "potential" 15.0 (Energy.potential e);
+  check_exact "total" 31.0 (Energy.total e);
+  Energy.reset e;
+  check_exact "potential after reset" 0.0 (Energy.potential e);
+  check_exact "total after reset" 0.0 (Energy.total e)
+
+let test_shake_preserves_centre_of_mass () =
+  (* SHAKE moves each pair by equal and opposite momenta *)
+  let st = Water.build ~molecules:8 ~seed:191 () in
+  let shake = Constraints.create st.Md_state.topo in
+  let ref_pos = Fbuf.copy st.Md_state.pos in
+  let rng = Rng.create 193 in
+  for i = 0 to Fbuf.length st.Md_state.pos - 1 do
+    st.Md_state.pos.{i} <- st.Md_state.pos.{i} +. Rng.uniform rng (-0.01) 0.01
+  done;
+  let com () =
+    let mass = st.Md_state.topo.Topology.mass in
+    let c = Array.make 3 0.0 in
+    Array.iteri
+      (fun i m ->
+        for d = 0 to 2 do
+          c.(d) <- c.(d) +. (m *. st.Md_state.pos.{(3 * i) + d})
+        done)
+      mass;
+    c
+  in
+  let before = com () in
+  ignore (Constraints.apply shake ~ref_pos ~pos:st.Md_state.pos);
+  let after = com () in
+  for d = 0 to 2 do
+    check_float ~eps:1e-9 (Printf.sprintf "COM axis %d" d) before.(d) after.(d)
+  done
+
+let test_shake_counts_water_constraints () =
+  let st = Water.build ~molecules:8 ~seed:197 () in
+  Alcotest.(check int) "three per rigid water" 24
+    (Constraints.n_constraints (Constraints.create st.Md_state.topo))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_box_min_image_bound; prop_box_dist_symmetric;
@@ -932,7 +1217,45 @@ let suites =
     ( "mdcore.constraints",
       [
         Alcotest.test_case "SHAKE restores geometry" `Quick test_shake_restores_geometry;
-        Alcotest.test_case "velocity projection" `Quick test_velocity_constraint_projection;
+        Alcotest.test_case "SHAKE preserves centre of mass" `Quick
+          test_shake_preserves_centre_of_mass;
+        Alcotest.test_case "three per water" `Quick test_shake_counts_water_constraints;
+      ] );
+    ( "mdcore.thermostat",
+      [
+        Alcotest.test_case "Berendsen contraction" `Quick test_berendsen_is_deterministic_contraction;
+        Alcotest.test_case "lambda 1 at target" `Quick test_berendsen_lambda_one_at_target;
+        Alcotest.test_case "lambda clamped" `Quick test_berendsen_lambda_clamped;
+        Alcotest.test_case "tau = dt reaches target" `Quick test_berendsen_tau_dt_reaches_target;
+        Alcotest.test_case "heats a cold system" `Quick test_berendsen_heats_cold_system;
+        Alcotest.test_case "rejects bad parameters" `Quick test_thermostat_rejects_bad_parameters;
+      ] );
+    ( "mdcore.integrator",
+      [
+        Alcotest.test_case "free flight" `Quick test_leapfrog_free_flight;
+        Alcotest.test_case "kick then drift" `Quick test_leapfrog_kick_then_drift;
+        Alcotest.test_case "rejects bad dt" `Quick test_leapfrog_rejects_bad_dt;
+      ] );
+    ( "mdcore.energy",
+      [ Alcotest.test_case "sums and reset" `Quick test_energy_sums_and_reset ] );
+    ( "mdcore.step_phases",
+      [
+        Alcotest.test_case "reset keeps kinetic" `Quick test_phase_reset_keeps_kinetic;
+        Alcotest.test_case "force phases are additive" `Quick test_phase_forces_are_additive;
+        Alcotest.test_case "short range = brute force" `Quick
+          test_phase_short_range_matches_brute_force;
+        Alcotest.test_case "reaction field: no reciprocal term" `Quick
+          test_phase_reaction_field_has_no_recip;
+        Alcotest.test_case "step = composed phases" `Quick test_phase_step_is_composition;
+        Alcotest.test_case "update keeps step count" `Quick test_phase_update_keeps_step_count;
+        Alcotest.test_case "update restores constraints" `Quick
+          test_phase_update_restores_constraints;
+        Alcotest.test_case "update velocity = displacement / dt" `Quick
+          test_phase_update_velocity_is_displacement;
+        Alcotest.test_case "update records kinetic energy" `Quick
+          test_phase_update_records_kinetic;
+        Alcotest.test_case "create rejects rlist < rcut" `Quick test_workflow_rejects_short_rlist;
+        Alcotest.test_case "minimize keeps constraints" `Quick test_minimize_keeps_constraints;
       ] );
     ( "mdcore.dynamics",
       [

@@ -154,6 +154,34 @@ let test_ablation_gld_loses () =
   let dma_t, gld_t = Ablations.gld_vs_dma ~quick:true () in
   Alcotest.(check bool) "gld is much slower" true (gld_t > 10.0 *. dma_t)
 
+(* ------------------------------------------------------------------ *)
+(* Golden pins of the MD step *)
+
+(* Figure 13 drives the optimized and the reference dynamics through
+   the same step phases; a digest of all four series at full precision
+   pins both trajectories bit for bit on each platform.  The two digests
+   differ because the optimized run follows the active platform. *)
+let fig13_digest platform =
+  let saved = Common.cfg () in
+  Fun.protect
+    ~finally:(fun () -> Common.set_platform saved)
+    (fun () ->
+      Common.set_platform platform;
+      let r = Exp_fig13.data ~quick:true () in
+      r.Exp_fig13.samples
+      |> List.map (fun (s : Exp_fig13.series) ->
+             Printf.sprintf "%d %h %h %h %h\n" s.Exp_fig13.step
+               s.Exp_fig13.ref_energy s.Exp_fig13.opt_energy
+               s.Exp_fig13.ref_temp s.Exp_fig13.opt_temp)
+      |> String.concat "" |> Digest.string |> Digest.to_hex)
+
+let test_fig13_pin platform expected () =
+  Alcotest.(check string)
+    (platform.Swarch.Platform.name ^ " fig13 series digest")
+    expected (fig13_digest platform);
+  Alcotest.(check string) "active platform restored" "sw26010"
+    (Common.cfg ()).Swarch.Platform.name
+
 let suites =
   [
     ( "swbench.registry",
@@ -181,5 +209,14 @@ let suites =
         Alcotest.test_case "ablation: line length" `Slow test_ablation_read_line_sweep;
         Alcotest.test_case "ablation: aggregation" `Slow test_ablation_package_sweep;
         Alcotest.test_case "ablation: gld vs dma" `Quick test_ablation_gld_loses;
+      ] );
+    ( "swbench.goldens",
+      [
+        Alcotest.test_case "fig13 digest on sw26010" `Slow
+          (test_fig13_pin Swarch.Platform.sw26010
+             "5178c5d5ffdd6ab69d279c779bb27ab2");
+        Alcotest.test_case "fig13 digest on sw26010_pro" `Slow
+          (test_fig13_pin Swarch.Platform.sw26010_pro
+             "b4e80ee943f9c8b4cb0a9d4e81e16605");
       ] );
   ]

@@ -304,6 +304,40 @@ let test_engine_restart_exact () =
   let tail = List.filter (fun (s : Swgmx.Engine.sample) -> s.Swgmx.Engine.step > 10) full_s in
   check_same_trajectory "restart tail" (tail, full_st) (rs, rst)
 
+let test_engine_restart_mismatches () =
+  let cks = ref [] in
+  ignore
+    (protected ~checkpoint_every:10 ~on_checkpoint:(fun ck -> cks := ck :: !cks)
+       10);
+  let ck = List.find (fun ck -> ck.Swio.Checkpoint.step = 10) !cks in
+  let cause ?cfg ?(molecules = 8) ?(steps = 20) ck =
+    Swgmx.Engine.restart_error ?cfg ~molecules ~steps ck
+  in
+  Alcotest.(check (option string)) "fits" None (cause ck);
+  Alcotest.(check (option string)) "atom count"
+    (Some "checkpoint holds 24 atoms, the run has 48")
+    (cause ~molecules:16 ck);
+  Alcotest.(check (option string)) "nothing left to run"
+    (Some "checkpoint step 10 is at or past the last step 10")
+    (cause ~steps:10 ck);
+  Alcotest.(check (option string)) "platform"
+    (Some
+       "checkpoint was taken on platform sw26010, restarting on sw26010_pro \
+        would not be bit-faithful")
+    (cause ~cfg:Swarch.Platform.sw26010_pro ck);
+  let off = { ck with Swio.Checkpoint.step = 5 } in
+  Alcotest.(check (option string)) "off the pair-list cadence"
+    (Some "checkpoint step 5 is not a multiple of nstlist 10")
+    (cause off);
+  (* the engine refuses the same checkpoint with the same cause *)
+  match protected ~restart:ck 10 with
+  | _ -> Alcotest.fail "restart past the last step accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "engine message"
+        "Engine.simulate_protected: checkpoint step 10 is at or past the last \
+         step 10"
+        msg
+
 let test_engine_zero_plan_invisible () =
   let samples, st = baseline 10 in
   let inj = F.Injector.create ~seed:11 F.Plan.zero in
@@ -407,6 +441,8 @@ let suites =
           test_engine_rollback_exact;
         Alcotest.test_case "engine: restart bit-identical" `Quick
           test_engine_restart_exact;
+        Alcotest.test_case "engine: restart mismatches named" `Quick
+          test_engine_restart_mismatches;
         Alcotest.test_case "engine: zero plan invisible" `Quick
           test_engine_zero_plan_invisible;
         Alcotest.test_case "trace: fault track paired" `Quick

@@ -251,52 +251,79 @@ let test_checkpoint_denormal_sanitized () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Xtc: hostile input *)
+(* Checkpoint *)
 
-let xtc_stream () =
-  let n = 3 in
-  let pos = Fvec.of_array (Array.init (3 * n) (fun i -> 0.25 *. float_of_int i)) in
-  let sink = Buffer.create 256 in
-  let w = Buffered_writer.create (Buffered_writer.To_buffer sink) in
-  Xtc.write w (Xtc.encode ~step:1 ~precision:1000.0 pos ~n);
-  Xtc.write w (Xtc.encode ~step:2 ~precision:1000.0 pos ~n);
-  Buffered_writer.flush w;
-  Buffer.contents sink
+module Md = Mdcore
 
-let test_xtc_truncation_fuzz () =
-  let data = xtc_stream () in
-  let frames = Xtc.read_all data in
-  Alcotest.(check int) "both frames parse" 2 (List.length frames);
-  let frame_bytes = String.length data / 2 in
-  (* cutting at any byte either rejects or yields exactly the frames
-     that fit whole *)
-  for k = 0 to String.length data - 1 do
-    match Xtc.read_all (String.sub data 0 k) with
-    | parsed ->
-        if not ((k = 0 && parsed = []) || (k = frame_bytes && List.length parsed = 1))
-        then Alcotest.failf "truncation at byte %d accepted %d frame(s)" k
-            (List.length parsed)
-    | exception Invalid_argument _ -> ()
-  done
+let test_checkpoint_roundtrip_bitexact () =
+  let st = Md.Water.build ~molecules:20 ~seed:41 () in
+  let n = Md.Md_state.n_atoms st in
+  let cp =
+    Checkpoint.capture ~step:123 ~pos:st.Md.Md_state.pos ~vel:st.Md.Md_state.vel
+      ~n_atoms:n ()
+  in
+  let s = Checkpoint.to_string cp in
+  let cp2 = Checkpoint.of_string s in
+  let pos = Md.Fbuf.create (3 * n) and vel = Md.Fbuf.create (3 * n) in
+  let step = Checkpoint.restore cp2 ~pos ~vel in
+  Alcotest.(check int) "step" 123 step;
+  Md.Fbuf.iteri
+    (fun i x ->
+      if x <> Md.Fbuf.get st.Md.Md_state.pos i then
+        Alcotest.failf "pos %d not bit-exact" i)
+    pos;
+  Md.Fbuf.iteri
+    (fun i v ->
+      if v <> Md.Fbuf.get st.Md.Md_state.vel i then
+        Alcotest.failf "vel %d not bit-exact" i)
+    vel
 
-let put_i32 s off v =
-  let b = Bytes.of_string s in
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff));
-  Bytes.to_string b
+let test_checkpoint_restart_reproduces_run () =
+  (* run 20 steps; checkpoint at 10; restart must match the original *)
+  let mk () = Md.Water.build ~molecules:12 ~seed:43 () in
+  let config st =
+    let rcut = 0.45 *. Md.Box.min_edge st.Md.Md_state.box in
+    {
+      Md.Workflow.dt = 0.001;
+      nstlist = 5;
+      rlist = rcut;
+      nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Reaction_field };
+      pme_grid = None;
+      thermostat = None;
+    }
+  in
+  let st1 = mk () in
+  let w1 = Md.Workflow.create ~config:(config st1) st1 in
+  Md.Workflow.run w1 10;
+  let cp =
+    Checkpoint.capture ~step:10 ~pos:st1.Md.Md_state.pos
+      ~vel:st1.Md.Md_state.vel ~n_atoms:(Md.Md_state.n_atoms st1) ()
+  in
+  Md.Workflow.run w1 10;
+  (* restart from the serialized checkpoint *)
+  let st2 = mk () in
+  let w2 = Md.Workflow.create ~config:(config st2) st2 in
+  let cp2 = Checkpoint.of_string (Checkpoint.to_string cp) in
+  ignore
+    (Checkpoint.restore cp2 ~pos:st2.Md.Md_state.pos ~vel:st2.Md.Md_state.vel);
+  Md.Workflow.run w2 10;
+  (* tolerance class: physical-drift (Swverify.Tol.drift 1e-12) *)
+  Md.Fbuf.iteri
+    (fun i x ->
+      try
+        Swverify.Tol.check ~what:(Printf.sprintf "pos %d" i)
+          (Swverify.Tol.drift 1e-12) x
+          (Md.Fbuf.get st2.Md.Md_state.pos i)
+      with Failure m -> Alcotest.fail m)
+    st1.Md.Md_state.pos
 
-let test_xtc_hostile_headers () =
-  let data = xtc_stream () in
-  (* negative payload length used to freeze the reader (offset never
-     advanced); now every header corruption must be rejected *)
-  rejects "negative plen" (fun () -> Xtc.read_all (put_i32 data 12 (-1)));
-  rejects "negative atoms" (fun () -> Xtc.read_all (put_i32 data 4 (-3)));
-  rejects "zero precision" (fun () -> Xtc.read_all (put_i32 data 8 0));
-  rejects "negative precision" (fun () -> Xtc.read_all (put_i32 data 8 (-1000)));
-  rejects "plen/atoms mismatch" (fun () -> Xtc.read_all (put_i32 data 12 24));
-  rejects "huge plen" (fun () -> Xtc.read_all (put_i32 data 12 0x7fffffff))
+let test_checkpoint_rejects_garbage () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "rejected" true
+        (try ignore (Checkpoint.of_string s); false
+         with Invalid_argument _ -> true))
+    [ ""; "wrong magic\n1 1\n"; "swgmx-checkpoint 1\n5\n"; "swgmx-checkpoint 1\n1 2\n0.0\n" ]
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_format_matches_printf; prop_format_roundtrip ]
@@ -332,10 +359,12 @@ let suites =
           test_checkpoint_hostile_values;
         Alcotest.test_case "checkpoint: denormals sanitized" `Quick
           test_checkpoint_denormal_sanitized;
-        Alcotest.test_case "xtc: truncation fuzz" `Quick
-          test_xtc_truncation_fuzz;
-        Alcotest.test_case "xtc: hostile headers" `Quick
-          test_xtc_hostile_headers;
+      ] );
+    ( "swio.checkpoint",
+      [
+        Alcotest.test_case "bit-exact roundtrip" `Quick test_checkpoint_roundtrip_bitexact;
+        Alcotest.test_case "restart reproduces run" `Quick test_checkpoint_restart_reproduces_run;
+        Alcotest.test_case "rejects garbage" `Quick test_checkpoint_rejects_garbage;
       ] );
     ("swio.properties", qsuite);
   ]

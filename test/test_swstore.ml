@@ -399,25 +399,18 @@ let test_checkpoint_object_corruption () =
   corrupt "corrupt checkpoint rejected" (fun () ->
       Objects.get_checkpoint cache ~name:"head")
 
-let test_trajectory_object () =
+let test_checkpoint_kind_mismatch () =
+  (* a keyed-store value is not a checkpoint *)
   let cache = Cache.create (Store.open_memory ()) in
-  let frame step =
-    let pos = Swio.Fvec.of_array (Array.init 9 (fun i -> float_of_int (step + i) *. 0.25)) in
-    Swio.Xtc.encode ~step ~precision:1000.0 pos ~n:3
-  in
-  Objects.append_frame cache ~name:"traj" (frame 0);
-  Objects.append_frame cache ~name:"traj" (frame 10);
-  Objects.append_frame cache ~name:"traj" (frame 20);
-  let frames = Objects.get_frames cache ~name:"traj" in
-  Alcotest.(check int) "three frames" 3 (List.length frames);
-  Alcotest.(check (list int)) "steps in order" [ 0; 10; 20 ]
-    (List.map (fun (f : Swio.Xtc.frame) -> f.Swio.Xtc.step) frames);
-  (* a checkpoint name is not a trajectory *)
-  let pos = Swio.Fvec.of_array (Array.make 9 0.0) in
-  let ck = Swio.Checkpoint.capture ~step:0 ~pos ~vel:pos ~n_atoms:3 () in
-  Objects.put_checkpoint cache ~name:"head" ck;
-  corrupt "kind mismatch rejected" (fun () ->
-      Objects.get_frames cache ~name:"head")
+  let kv = Kv.create cache in
+  Kv.put kv ~key:[ "head" ] "not a checkpoint";
+  let name = Kv.name_of kv [ "head" ] in
+  match Objects.get_checkpoint cache ~name with
+  | _ -> Alcotest.fail "kv value accepted as a checkpoint"
+  | exception Error.Corrupt (Error.Bad_header msg) ->
+      Alcotest.(check string) "kind mismatch rejected"
+        (name ^ " is a kv, not a checkpoint")
+        msg
 
 (* ------------------------------------------------------------------ *)
 (* measurement persistence + the promoted measure cache *)
@@ -686,7 +679,8 @@ let suites =
           test_checkpoint_object_roundtrip;
         Alcotest.test_case "checkpoint corruption" `Quick
           test_checkpoint_object_corruption;
-        Alcotest.test_case "trajectory" `Quick test_trajectory_object;
+        Alcotest.test_case "checkpoint kind mismatch" `Quick
+          test_checkpoint_kind_mismatch;
       ] );
     ( "swstore.measure",
       [
