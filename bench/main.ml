@@ -335,6 +335,8 @@ let alloc_figures () =
     ("alloc_minor_collections_per_step", s.Swbench.Alloc.minor_collections);
   ]
 
+let prog = "bench"
+
 let write_json path rows =
   let module J = Swtrace.Json in
   let doc =
@@ -359,10 +361,11 @@ let write_json path rows =
                (simulated_figures () @ wall_figures () @ alloc_figures ())) );
       ]
   in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  (try
+     Out_channel.with_open_text path (fun oc ->
+         output_string oc (J.to_string doc);
+         output_char oc '\n')
+   with Sys_error msg -> Swbench.Cli.fail ~code:1 ~prog ("cannot write " ^ msg));
   Fmt.pr "wrote %s@." path
 
 let main () cfg json =
@@ -381,7 +384,6 @@ let main () cfg json =
 
 let () =
   let open Cmdliner in
-  let prog = "bench" in
   let json =
     Arg.(
       value

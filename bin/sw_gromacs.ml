@@ -69,6 +69,8 @@ let main particles steps variant_name () cfg dt temp seed pipelined overlap
     write_traj (trace : Swbench.Cli.trace) checkpoint_every checkpoint_file
     restart_file faults_spec fault_seed store_dir store_name restart_store
     batch_file report_file =
+  if steps < 1 then
+    fail (Printf.sprintf "--steps must be positive (got %d)" steps);
   (match checkpoint_every with
   | Some k when k <= 0 ->
       fail (Printf.sprintf "--checkpoint-every must be positive (got %d)" k)
@@ -91,7 +93,8 @@ let main particles steps variant_name () cfg dt temp seed pipelined overlap
       run_batch ~manifest_path ~store_dir ~report_file ~trace
   | None ->
   let fault_plan =
-    try Swfault.Plan.of_string faults_spec with Invalid_argument msg -> fail msg
+    try Swfault.Plan.of_string ~cpes:cfg.Swarch.Platform.cpe_count faults_spec
+    with Invalid_argument msg -> fail msg
   in
   let faults =
     if Swfault.Plan.is_zero fault_plan then None
@@ -157,10 +160,11 @@ let main particles steps variant_name () cfg dt temp seed pipelined overlap
            under the mutable head --store-name *)
         Swgmx.Engine.checkpoint_sink (Lazy.force store_cache) ~name:store_name
           ck
-    | None ->
-        let oc = open_out checkpoint_file in
-        output_string oc (Swio.Checkpoint.to_string ck);
-        close_out oc
+    | None -> (
+        try
+          Out_channel.with_open_text checkpoint_file (fun oc ->
+              output_string oc (Swio.Checkpoint.to_string ck))
+        with Sys_error msg -> fail ~code:1 ("cannot write " ^ msg))
   in
   let on_checkpoint = Option.map (fun _ -> write_ck) checkpoint_every in
   let samples, st, rstats =

@@ -19,10 +19,8 @@
 let fail fmt = Fmt.kstr (fun m -> Fmt.epr "swtrace_lint: %s@." m; exit 1) fmt
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> fail "cannot read %s" msg
 
 let () =
   let path =

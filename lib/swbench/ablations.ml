@@ -28,7 +28,7 @@ let read_line_sweep ~quick () =
       let cost = Swarch.Cost.create () in
       let rc =
         Swcache.Read_cache.create (Common.cfg ()) cost ~backing:sys.K.pkg_aos
-          ~elt_floats:Swgmx.Package.floats ~line_elts ~n_lines ()
+          ~ways:1 ~elt_floats:Swgmx.Package.floats ~line_elts ~n_lines ()
       in
       (* replay the kernel's j-stream through the cache *)
       Md.Pair_list.iter_pairs p.Common.pairs (fun _ cj ->

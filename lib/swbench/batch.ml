@@ -49,6 +49,11 @@ type job = {
 let fail_line ln fmt =
   Printf.ksprintf (fun m -> invalid_arg (Printf.sprintf "batch manifest line %d: %s" ln m)) fmt
 
+(* the machine a job runs on: its named platform, or the active one *)
+let platform_cfg = function
+  | Some name -> Swarch.Platform.resolve name
+  | None -> Common.cfg ()
+
 let parse_line ln line : job option =
   let line =
     match String.index_opt line '#' with
@@ -124,15 +129,20 @@ let parse_line ln line : job option =
       | Some k -> fail_line ln "unknown kind %S (measure|simulate)" k
       | None -> fail_line ln "missing kind="
     in
+    let platform = lookup "platform" in
     let faults = Option.value ~default:"" (lookup "faults") in
-    (* validate the spec here so a bad manifest fails before any job runs *)
-    (try ignore (Swfault.Plan.of_string faults)
+    (* resolve the platform and validate the fault spec against its CPE
+       count here, so a bad manifest fails before any job runs *)
+    (try
+       ignore
+         (Swfault.Plan.of_string
+            ~cpes:(platform_cfg platform).Swarch.Platform.cpe_count faults)
      with Invalid_argument m -> fail_line ln "%s" m);
     Some
       {
         name = Option.value ~default:(Printf.sprintf "job%d" ln) (lookup "name");
         kind;
-        platform = lookup "platform";
+        platform;
         faults;
         fault_seed = int_field "fault_seed" 2027;
       }
@@ -158,15 +168,14 @@ type outcome = {
   wall_s : float;  (** real wall-clock seconds this job took *)
 }
 
+let cfg_of job = platform_cfg job.platform
+
 let injector_of job =
-  let plan = Swfault.Plan.of_string job.faults in
+  let plan =
+    Swfault.Plan.of_string ~cpes:(cfg_of job).Swarch.Platform.cpe_count job.faults
+  in
   if Swfault.Plan.is_zero plan then None
   else Some (Swfault.Injector.create ~seed:job.fault_seed plan)
-
-let cfg_of job =
-  match job.platform with
-  | Some name -> Swarch.Platform.resolve name
-  | None -> Common.cfg ()
 
 (* simulate results persist as sample lines; hex floats keep the
    stored trajectory bit-identical to the computed one *)

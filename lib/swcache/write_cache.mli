@@ -14,16 +14,6 @@ type t
     covering an array of [n_elements] elements. *)
 val n_mem_lines : n_elements:int -> line_elts:int -> int
 
-(** [footprint_bytes ~elt_floats ~line_elts ~n_lines ~with_marks
-    ~n_elements] is the LDM cost of the cache. *)
-val footprint_bytes :
-  elt_floats:int ->
-  line_elts:int ->
-  n_lines:int ->
-  with_marks:bool ->
-  n_elements:int ->
-  int
-
 (** [create cfg cost ?ldm ~with_marks ~copy ~elt_floats ~line_elts
     ~n_lines ()] builds an empty write cache over the force copy
     [copy]. *)
@@ -48,9 +38,6 @@ val stats : t -> Stats.t
 (** [marks t] is the update-mark bitmap, when the cache runs in marked
     mode. *)
 val marks : t -> Bitmap.t option
-
-(** [n_elements t] is the number of elements the copy array holds. *)
-val n_elements : t -> int
 
 (** [init_copy t] zero-fills the force copy in main memory and charges
     the DMA writes this costs — the "initialization step" that the

@@ -18,8 +18,8 @@ type t = {
   mutable flips : int;
 }
 
+(* [plan] comes validated for its platform ({!Plan.of_string}). *)
 let create ?(seed = 2027) plan =
-  let plan = Plan.validate plan in
   {
     plan;
     seed;

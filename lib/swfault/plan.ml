@@ -35,7 +35,9 @@ let is_zero p =
   && p.cpe_slowdown = [] && p.cpe_stall_s = [] && p.cpe_dead = []
   && p.ldm_flip_rate = 0.0
 
-let validate ?(cpes = Swarch.Platform.default.Swarch.Platform.cpe_count) p =
+(* [validate ~cpes p] checks [p] against a core group of [cpes] CPEs:
+   the platform the plan runs on, never a fixed machine. *)
+let validate ~cpes p =
   let rate name r =
     if not (r >= 0.0 && r <= 1.0) then
       invalid_arg (Printf.sprintf "fault plan: %s=%g not in [0,1]" name r)
@@ -75,8 +77,9 @@ let validate ?(cpes = Swarch.Platform.default.Swarch.Platform.cpe_count) p =
 
 (* Spec syntax: comma-separated [key=value]; [cpe_slow]/[cpe_stall]
    take [id:factor] and may repeat, [cpe_dead] takes an id and may
-   repeat.  Empty string is the zero plan. *)
-let of_string s =
+   repeat.  Empty string is the zero plan.  The result is validated
+   against [cpes], the CPE count of the platform it will run on. *)
+let of_string ~cpes s =
   let fail fmt = Printf.ksprintf invalid_arg ("fault plan: " ^^ fmt) in
   let float_of k v =
     match float_of_string_opt v with
@@ -117,7 +120,7 @@ let of_string s =
                  | "cpe_stall" ->
                      { q with cpe_stall_s = id_factor k v :: q.cpe_stall_s }
                  | _ -> fail "unknown key %S" k));
-  validate !p
+  validate ~cpes !p
 
 let to_string p =
   let b = Buffer.create 64 in

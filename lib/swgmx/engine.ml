@@ -253,13 +253,13 @@ let water_system cfg ~molecules ~seed =
   in
   (st, rcut, sys)
 
-(** [measure ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ~version
-    ~total_atoms ~n_cg ()] prices one MD step of the water benchmark
-    at the given optimization level: [total_atoms] split over [n_cg]
-    core groups (the per-CG slice is simulated in full; communication
-    is modelled analytically).  [steps_per_frame] is the
-    trajectory-output interval (Table 1 measures runs that write
-    output).  [pipelined] runs the short-range kernel through the
+(** [measure ?cfg ?pipelined ?plan ~version ~total_atoms ~n_cg ()]
+    prices one MD step of the water benchmark at the given
+    optimization level: [total_atoms] split over [n_cg] core groups
+    (the per-CG slice is simulated in full; communication is modelled
+    analytically).  The pair list is rebuilt every 10 steps and a
+    trajectory frame written every 100 (Table 1 measures runs that
+    write output).  [pipelined] runs the short-range kernel through the
     swsched double-buffer pipeline (see {!Kernel.run}).  [plan]
     selects the swstep schedule: [Serial] (default) reproduces the
     paper's measured profile; [Overlap] hides communication behind
@@ -268,9 +268,8 @@ let water_system cfg ~molecules ~seed =
     stretching the critical path, degraded links inflating the halo
     (with the zero plan, every output is bit-identical to no
     injector at all). *)
-let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
-    ?(nstlist = 10) ?(pipelined = false) ?(plan = Swstep.Plan.Serial) ?faults
-    ~version ~total_atoms ~n_cg () =
+let measure ?(cfg = Swarch.Config.default) ?(pipelined = false)
+    ?(plan = Swstep.Plan.Serial) ?faults ~version ~total_atoms ~n_cg () =
   if n_cg < 1 then invalid_arg "Engine.measure: n_cg must be positive";
   (* the boundary check: a nonsensical machine description fails fast
      here instead of producing nonsense times downstream *)
@@ -305,8 +304,8 @@ let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
         (Swfault.Injector.dead inj));
   let pairs = ref None and ns_stats = ref None and outcome = ref None in
   let phases =
-    phases_of_features cfg f ~sys ~n ~box ~rcut ~total_atoms ~n_cg ~nstlist
-      ~steps_per_frame ~pipelined ~faults ~pairs ~ns_stats ~outcome
+    phases_of_features cfg f ~sys ~n ~box ~rcut ~total_atoms ~n_cg ~nstlist:10
+      ~steps_per_frame:100 ~pipelined ~faults ~pairs ~ns_stats ~outcome
   in
   let step =
     Swstep.Phase.make ~label:(version_name version) ~rows:table1_rows phases
@@ -410,22 +409,21 @@ let checkpoint_sink cache ~name ck =
     restart from step 0. *)
 let restart_of_store cache ~name = Swstore.Objects.get_checkpoint cache ~name
 
-(** [trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan
-    ~version ~total_atoms ~n_cg ~steps ()] prices [steps] consecutive
-    MD steps with the recorder running, laying one step timeline after
-    another on the trace clock (phases on the MPE track, kernel detail
-    on the CPE tracks, communication on the network track).  Returns
+(** [trace_steps ?cfg ?pipelined ?plan ~version ~total_atoms ~n_cg
+    ~steps ()] prices [steps] consecutive MD steps with the recorder
+    running, laying one step timeline after another on the trace clock
+    (phases on the MPE track, kernel detail on the CPE tracks,
+    communication on the network track).  Returns
     the last step's measurement; call {!Swtrace.Trace.enable} first or
     the run degenerates to plain repeated {!measure}. *)
-let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
-    ~total_atoms ~n_cg ~steps () =
+let trace_steps ?cfg ?pipelined ?plan ?faults ~version ~total_atoms ~n_cg
+    ~steps () =
   if steps < 1 then invalid_arg "Engine.trace_steps: steps must be positive";
   let last = ref None in
   for _ = 1 to steps do
     last :=
       Some
-        (measure ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults
-           ~version ~total_atoms ~n_cg ())
+        (measure ?cfg ?pipelined ?plan ?faults ~version ~total_atoms ~n_cg ())
   done;
   Option.get !last
 

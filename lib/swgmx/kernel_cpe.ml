@@ -514,7 +514,7 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
         let read_cache =
           if spec.cached_read then
             Some
-              (Swcache.Read_cache.create cfg cost ~ldm ~backing
+              (Swcache.Read_cache.create cfg cost ~ldm ~backing ~ways:1
                  ~elt_floats:Package.floats ~line_elts:K.read_line_elts
                  ~n_lines:(K.read_lines cfg) ())
           else begin
@@ -552,7 +552,7 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
         | Deferred { marks = true } | Owner_only | Mpe_collect -> ());
         let fetch_j cj =
           match read_cache with
-          | Some rc -> (Swcache.Read_cache.touch rc cj, rc.Swcache.Read_cache.data)
+          | Some rc -> (Swcache.Read_cache.touch rc cj, Swcache.Read_cache.data rc)
           | None ->
               Array.blit backing (cj * Package.floats) jbuf 0 Package.floats;
               Dma.get cfg cost ~bytes:Package.bytes;

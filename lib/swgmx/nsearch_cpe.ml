@@ -11,8 +11,9 @@
     i-cluster's package, grid-cell metadata, and candidate j-packages —
     which is exactly the pattern that thrashes a direct-mapped cache
     (the paper measured >85% misses) and that a two-way associative
-    cache fixes (~10%). Both cache types are available so the
-    experiment can be reproduced. *)
+    cache fixes (~10%).  The engine searches through the two-way
+    cache; the direct-mapped kind is kept so the experiment can be
+    reproduced. *)
 
 module K = Kernel_common
 module Cluster = Mdcore.Cluster
@@ -22,6 +23,7 @@ module Vec3 = Mdcore.Vec3
 module Box = Mdcore.Box
 module Cost = Swarch.Cost
 module Dma = Swarch.Dma
+module Read_cache = Swcache.Read_cache
 
 type cache_kind = Direct_mapped | Two_way
 
@@ -100,37 +102,22 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
       let candidates = ref 0 and accepted = ref 0 in
       let lo = env.Swoffload.Offload.lo and hi = env.Swoffload.Offload.hi in
       begin
-        let ldm = cpe.Swarch.Cpe.ldm in
         let out_bytes = out_buffer_bytes cfg in
         Swoffload.Offload.scratch env out_bytes;
-        (* one shared cache over the combined address space, split
-           into the two associativity flavours *)
-        (* both flavours span the same LDM capacity: depth follows the
-           platform (256 two-package lines / 128 two-way sets on the
-           SW26010's 64 KB LDM) *)
-        let cap = cache_capacity_elts cfg in
-        let touch, stats, release =
-          match kind with
-          | Direct_mapped ->
-              let rc =
-                Swcache.Read_cache.create cfg cost ~ldm ~backing:space
-                  ~elt_floats:Package.floats ~line_elts:2 ~n_lines:(cap / 2) ()
-              in
-              ( (fun i -> ignore (Swcache.Read_cache.touch rc i)),
-                Swcache.Read_cache.stats rc,
-                fun () -> Swcache.Read_cache.release rc )
-          | Two_way ->
-              let ac =
-                Swcache.Assoc_cache.create cfg cost ~backing:space
-                  ~elt_floats:Package.floats ~line_elts:2 ~n_sets:(cap / 4) ()
-              in
-              Swoffload.Offload.scratch env
-                (Swcache.Assoc_cache.footprint_bytes ~elt_floats:Package.floats
-                   ~line_elts:2 ~n_sets:(cap / 4));
-              ( (fun i -> ignore (Swcache.Assoc_cache.touch ac i)),
-                Swcache.Assoc_cache.stats ac,
-                fun () -> () )
+        (* one shared cache over the combined address space, of the
+           kind's associativity; both kinds span the same LDM capacity,
+           whose depth follows the platform (256 two-package lines: 256
+           direct-mapped or 128 two-way sets on the SW26010's 64 KB
+           LDM) *)
+        let ways = match kind with Direct_mapped -> 1 | Two_way -> 2 in
+        let n_lines = cache_capacity_elts cfg / 2 in
+        let rc =
+          Read_cache.create cfg cost ~backing:space ~ways
+            ~elt_floats:Package.floats ~line_elts:2 ~n_lines ()
         in
+        Swoffload.Offload.scratch env
+          (Read_cache.footprint_bytes ~ways ~elt_floats:Package.floats
+             ~line_elts:2 ~n_lines);
         let out_fill = ref 0 in
         let emit () =
           (* stage a j index; flush the LDM buffer when full *)
@@ -141,7 +128,7 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
           end
         in
         for ci = lo to hi - 1 do
-          touch ci;
+          ignore (Read_cache.touch rc ci);
           let pi = Cluster.centroid cl ci and ri = Cluster.radius cl ci in
           let acc = ref [] in
           Cell_grid.iter_neighbourhood grid pi (fun cj ->
@@ -149,8 +136,8 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
                 incr candidates;
                 (* bounding-box metadata stream + coordinate stream:
                    same index, aliasing bases *)
-                touch (nc_pad + cj);
-                touch cj;
+                ignore (Read_cache.touch rc (nc_pad + cj));
+                ignore (Read_cache.touch rc cj);
                 Cost.flops cost 10.0;
                 let reach = rlist +. ri +. Cluster.radius cl cj in
                 if Box.dist2 box pi (Cluster.centroid cl cj) <= reach *. reach
@@ -188,8 +175,7 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
           lists.(ci) <- List.sort compare !acc
         done;
         if !out_fill > 0 then Dma.put cfg cost ~bytes:!out_fill;
-        l_stats.(cpe.Swarch.Cpe.id) <- Some stats;
-        release ()
+        l_stats.(cpe.Swarch.Cpe.id) <- Some (Read_cache.stats rc)
       end;
       l_candidates.(cpe.Swarch.Cpe.id) <- !candidates;
       l_accepted.(cpe.Swarch.Cpe.id) <- !accepted

@@ -66,14 +66,14 @@ let push b =
 
 (** [build ~n ~pos ~mass ~mpe ()] builds the octree over [n] bodies
     ([pos] is the flat xyz buffer).  Every level's center-of-mass
-    pass and octant partition is charged to the MPE.  [leaf_max]
-    bounds bodies per leaf; cells subdivide until they fit or the
+    pass and octant partition is charged to the MPE.  A leaf holds at
+    most 8 bodies; cells subdivide until they fit or the
     depth cap is hit (coincident bodies would otherwise recurse
     forever). *)
-let build ?(leaf_max = 8) ~n ~(pos : Mdcore.Fbuf.t) ~(mass : Mdcore.Fbuf.t)
+let build ~n ~(pos : Mdcore.Fbuf.t) ~(mass : Mdcore.Fbuf.t)
     ~(mpe : Swarch.Mpe.t) () =
   if n < 1 then invalid_arg "Octree.build: no bodies";
-  let max_depth = 24 in
+  let leaf_max = 8 and max_depth = 24 in
   (* bounding cube *)
   let lo = ref infinity and hi = ref neg_infinity in
   for i = 0 to (3 * n) - 1 do
@@ -87,7 +87,7 @@ let build ?(leaf_max = 8) ~n ~(pos : Mdcore.Fbuf.t) ~(mass : Mdcore.Fbuf.t)
   let half0 = (0.5 *. (!hi -. !lo) *. 1.0001) +. 1e-12 in
   let order = Array.init n Fun.id in
   let scratch = Array.make n 0 in
-  let cap = max 16 (4 * ((n / max 1 leaf_max) + 1)) in
+  let cap = max 16 (4 * ((n / leaf_max) + 1)) in
   let b =
     {
       len = 0;

@@ -461,7 +461,8 @@ let fault_recovery_identity (c : Config.t) ~gen ~seed =
           ~steps:12 ~sample_every:2 ()
       in
       let plan =
-        Swfault.Plan.of_string "ldm_flip=0.6,dma_error=0.2,cpe_slow=3:1.5"
+        Swfault.Plan.of_string ~cpes:cfg.Swarch.Platform.cpe_count
+          "ldm_flip=0.6,dma_error=0.2,cpe_slow=3:1.5"
       in
       let inj = Swfault.Injector.create ~seed:(seed + 17) plan in
       let protected_, st_prot, stats =

@@ -202,6 +202,31 @@ let test_simd_ops_alloc_free lanes () =
           lanes (w -. baseline))
     (simd_ops lanes)
 
+(* [Read_cache.touch] at each associativity: a hit allocates nothing
+   and a miss (tag math, line blit, DMA charge) at most 7 words.  Each
+   miss stream cycles one more conflicting line than a set holds. *)
+let test_read_cache_touch_alloc () =
+  let backing = Array.make (3072 * 4) 1.0 in
+  List.iter
+    (fun (ways, misses) ->
+      let rc =
+        Swcache.Read_cache.create Swarch.Config.default (Swarch.Cost.create ())
+          ~backing ~ways ~elt_floats:4 ~line_elts:8 ~n_lines:16 ()
+      in
+      let words stream =
+        let k = ref 0 in
+        minor_words_per_call (fun () ->
+            ignore (Swcache.Read_cache.touch rc stream.(!k));
+            k := (!k + 1) mod Array.length stream)
+        -. minor_words_per_call (fun () -> ())
+      in
+      let hit = words [| 5 |] in
+      let miss = words misses in
+      if hit <> 0.0 || miss > 7.0 then
+        Alcotest.failf "Read_cache.touch at ways %d: hit %.2f, miss %.2f words"
+          ways hit miss)
+    [ (1, [| 0; 128 |]); (2, [| 0; 512; 1024 |]) ]
+
 let suites =
   [
     ( "alloc.goldens",
@@ -220,5 +245,7 @@ let suites =
            (test_simd_ops_alloc_free 4)
       :: Alcotest.test_case "SIMD ops allocate nothing at 8 lanes" `Quick
            (test_simd_ops_alloc_free 8)
-      :: List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ] );
+      :: Alcotest.test_case "read cache touch: hit 0 words, miss <= 7" `Quick
+           test_read_cache_touch_alloc
+      ::List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ] );
   ]

@@ -62,6 +62,31 @@ let test_nsearch_two_way_fixes_thrashing () =
   Alcotest.(check bool) "two-way reasonably low" true
     (s_two.Nsearch_cpe.miss_ratio < 0.4)
 
+(* Golden pins for both cache kinds on the thrashing system: the miss
+   ratio, the candidate/accepted counts and the simulated elapsed time
+   (hex floats) must not move by a bit when the cache code does. *)
+let test_nsearch_goldens () =
+  let _, sys, rcut = setup ~molecules:400 ~seed:13 () in
+  List.iter
+    (fun (kind, name, miss, candidates, accepted, elapsed) ->
+      let cg = Swarch.Core_group.create cfg in
+      let _, s = Nsearch_cpe.run sys cg ~kind ~rlist:rcut in
+      Alcotest.(check string)
+        (name ^ ": miss ratio") miss
+        (Printf.sprintf "%h" s.Nsearch_cpe.miss_ratio);
+      Alcotest.(check int) (name ^ ": candidates") candidates
+        s.Nsearch_cpe.candidates;
+      Alcotest.(check int) (name ^ ": accepted") accepted s.Nsearch_cpe.accepted;
+      Alcotest.(check string)
+        (name ^ ": elapsed") elapsed
+        (Printf.sprintf "%h" (Swarch.Core_group.elapsed cg)))
+    [
+      (Nsearch_cpe.Direct_mapped, "direct-mapped", "0x1.fea4ca1660f99p-1", 45150,
+        24373, "0x1.f773c580eb01dp-11");
+      (Nsearch_cpe.Two_way, "two-way", "0x1.e8abfa4db72adp-4", 45150, 24373,
+        "0x1.23ac4f6429d88p-12");
+    ]
+
 let test_nsearch_two_way_faster () =
   let _, sys, rcut = setup ~molecules:400 ~seed:17 () in
   let cg1 = Swarch.Core_group.create cfg in
@@ -164,6 +189,8 @@ let suites =
         Alcotest.test_case "direct-mapped also correct" `Quick test_nsearch_direct_also_correct;
         Alcotest.test_case "two-way fixes thrashing" `Slow test_nsearch_two_way_fixes_thrashing;
         Alcotest.test_case "two-way faster" `Slow test_nsearch_two_way_faster;
+        Alcotest.test_case "golden pins of both cache kinds" `Quick
+          test_nsearch_goldens;
       ] );
     ( "swgmx.pme_model",
       [

@@ -13,6 +13,7 @@ module S = Swsched
 module K = Swgmx.Kernel_common
 
 let cfg = Swarch.Config.default
+let cpes = cfg.Swarch.Config.cpe_count
 
 (* tolerance class: physical-drift — replayed-time sums; rel 1e-9 with
    an absolute floor of 1e-15 for exactly-zero expectations *)
@@ -55,17 +56,17 @@ let test_plan_roundtrip () =
     "dma_error=0.1,dma_backoff=1e-06,link_degrade=1.5,link_drop=0.05,\
      ldm_flip=0.2,cpe_dead=9,cpe_dead=17,cpe_slow=3:1.5,cpe_stall=4:2e-06"
   in
-  let p = F.Plan.of_string spec in
-  let p' = F.Plan.of_string (F.Plan.to_string p) in
+  let p = F.Plan.of_string ~cpes spec in
+  let p' = F.Plan.of_string ~cpes (F.Plan.to_string p) in
   Alcotest.(check bool) "to_string round-trips" true (p = p');
   Alcotest.(check bool) "not zero" true (not (F.Plan.is_zero p));
   Alcotest.(check bool) "empty spec is zero" true
-    (F.Plan.is_zero (F.Plan.of_string ""));
+    (F.Plan.is_zero (F.Plan.of_string ~cpes ""));
   Alcotest.(check bool) "zero is zero" true (F.Plan.is_zero F.Plan.zero)
 
 let test_plan_rejects () =
   let rejects spec =
-    match F.Plan.of_string spec with
+    match F.Plan.of_string ~cpes spec with
     | _ -> Alcotest.failf "spec %S should be rejected" spec
     | exception Invalid_argument _ -> ()
   in
@@ -84,6 +85,17 @@ let test_plan_rejects () =
   (* killing every CPE leaves nothing to re-stripe onto *)
   let all = String.concat "," (List.init 64 (fun i -> Fmt.str "cpe_dead=%d" i)) in
   rejects all
+
+(* CPE ids are checked against the platform the plan runs on *)
+let test_plan_checks_platform_cpes () =
+  let cpes_of file = (Swarch.Platform.of_string file).Swarch.Platform.cpe_count in
+  (match F.Plan.of_string ~cpes:(cpes_of "cpe_count = 32") "cpe_dead=40" with
+  | _ -> Alcotest.fail "cpe_dead=40 accepted on a 32-CPE platform"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "cause" "fault plan: dead CPE id 40 not in [0,32)" msg);
+  let p = F.Plan.of_string ~cpes:(cpes_of "cpe_count = 128") "cpe_dead=100" in
+  Alcotest.(check (list int)) "accepted on a 128-CPE platform" [ 100 ]
+    p.F.Plan.cpe_dead
 
 (* ------------------------------------------------------------------ *)
 (* Error *)
@@ -422,6 +434,8 @@ let suites =
           test_rng_streams_independent;
         Alcotest.test_case "plan: round-trip" `Quick test_plan_roundtrip;
         Alcotest.test_case "plan: rejects nonsense" `Quick test_plan_rejects;
+        Alcotest.test_case "plan: CPE ids checked against the platform" `Quick
+          test_plan_checks_platform_cpes;
         Alcotest.test_case "error: structured guard" `Quick test_error_guard;
         Alcotest.test_case "injector: rates nest" `Quick
           test_injector_rates_nest;

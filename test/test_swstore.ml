@@ -495,7 +495,9 @@ let test_measure_memo_keyed_by_faults () =
   in
   let inj =
     Swfault.Injector.create ~seed:3
-      (Swfault.Plan.of_string "cpe_slow=0:4.0,cpe_slow=1:4.0")
+      (Swfault.Plan.of_string
+         ~cpes:(Swbench.Common.cfg ()).Swarch.Platform.cpe_count
+         "cpe_slow=0:4.0,cpe_slow=1:4.0")
   in
   let degraded =
     Swbench.Common.measure ~faults:inj ~version:Swgmx.Engine.V_other
@@ -583,6 +585,19 @@ let test_batch_parse_rejects () =
   rejects "bad plan" "kind=measure plan=sideways\n";
   rejects "bad fault spec" "kind=measure faults=zorp=1\n";
   rejects "bare token" "kind=measure standalone\n"
+
+(* a job's fault plan is checked against the job's own platform *)
+let test_batch_faults_per_platform () =
+  Swarch.Platform.register
+    (Swarch.Platform.of_string "name = batch-cpe128\ncpe_count = 128\n");
+  let parse platform =
+    Swbench.Batch.parse_manifest
+      (Printf.sprintf "kind=measure platform=%s faults=cpe_dead=100\n" platform)
+  in
+  Alcotest.(check int) "accepted on 128 CPEs" 1 (List.length (parse "batch-cpe128"));
+  match parse "sw26010" with
+  | _ -> Alcotest.fail "cpe_dead=100 accepted on 64 CPEs"
+  | exception Invalid_argument _ -> ()
 
 let test_batch_run_serves_repeat () =
   let cache = Cache.create (Store.open_memory ()) in
@@ -704,6 +719,8 @@ let suites =
       [
         Alcotest.test_case "parse" `Quick test_batch_parse;
         Alcotest.test_case "parse rejects" `Quick test_batch_parse_rejects;
+        Alcotest.test_case "fault plan checked per job platform" `Quick
+          test_batch_faults_per_platform;
         Alcotest.test_case "repeat served from store" `Quick
           test_batch_run_serves_repeat;
       ] );
